@@ -49,9 +49,12 @@ from .metrics import (
 )
 from .model import (
     BagScore,
+    ForwardCache,
     ModelParams,
     aggregate_topk,
+    backward,
     backward_bag,
+    forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -59,7 +62,7 @@ from .model import (
     score_patch,
     score_patches,
 )
-from .numerics import Rng, ceil_frac, derive, finite_diff_grad, gauss_sample, matvec
+from .numerics import Rng, ceil_frac, derive
 from .synth import SynthConfig, generate, signal_direction, write_dataset
 from .training import (
     Adam,

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import FormatError, load_dataset
+from .data import FormatError, load_dataset, write_bytes_atomic
 from .losses import LossConfig, LossVariant
 from .metrics import (
     UndefinedCorrelationError,
@@ -229,7 +229,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     for bs in score_dataset(params, ds, args.topk):
         lines.append(f"{bs.bag_id},{bs.score:.6f},{labels[bs.bag_id]}")
     _ensure_parent(args.out)
-    Path(args.out).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    write_bytes_atomic(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"scored {len(ds.bags)} bags -> {args.out}")
     return 0
 
@@ -277,8 +277,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         curves.mkdir(parents=True, exist_ok=True)
         roc_lines = ["fpr,tpr"] + [f"{f:.6f},{t:.6f}" for f, t in report.roc]
         pr_lines = ["recall,precision"] + [f"{r:.6f},{p:.6f}" for r, p in report.pr]
-        (curves / "roc.csv").write_bytes(("\n".join(roc_lines) + "\n").encode("utf-8"))
-        (curves / "pr.csv").write_bytes(("\n".join(pr_lines) + "\n").encode("utf-8"))
+        write_bytes_atomic(curves / "roc.csv", ("\n".join(roc_lines) + "\n").encode("utf-8"))
+        write_bytes_atomic(curves / "pr.csv", ("\n".join(pr_lines) + "\n").encode("utf-8"))
         print(f"curves -> {curves / 'roc.csv'}, {curves / 'pr.csv'}")
     print(f"AUC {report.auc:.4f} AP {report.average_precision:.4f}")
     return 0
@@ -302,7 +302,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         f"{name},{c.rho:.6f},{c.p_value:.6g},{c.n}" for name, c in result.entries
     ]
     _ensure_parent(args.out)
-    Path(args.out).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    write_bytes_atomic(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"correlations for {len(result.entries)} columns -> {args.out}")
     return 0
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,6 +101,23 @@ class Dataset:
     @property
     def n_neg(self) -> int:
         return sum(1 for b in self.bags if b.label == 0)
+
+
+def write_bytes_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``: a reader, or a failed write, sees the
+    previous file or the complete new one, never a partial file. The
+    temporary file is removed if anything fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _check_writable_features(features: np.ndarray) -> np.ndarray:
@@ -295,6 +314,7 @@ __all__ = [
     "load_feature_file",
     "load_manifest",
     "split_stratified",
+    "write_bytes_atomic",
     "write_feature_file",
     "write_manifest",
 ]

@@ -7,6 +7,13 @@ during the backward pass; since the aggregate is piecewise linear in
 the patch scores, that gradient is exact everywhere selection is
 locally stable.
 
+:func:`forward` writes a bag's hidden layer into a caller-supplied
+(patches, hidden) buffer, so a training loop or a scoring pass reuses
+one allocation across bags, and returns a :class:`ForwardCache` of the
+activations and the top-k selection. :func:`backward` takes that cache
+and computes the parameter gradient without a second forward pass.
+:func:`score_bag` and :func:`backward_bag` wrap the two for one bag.
+
 Checkpoint format: magic ``MILM`` | version: u32 LE | dim: u32 |
 hidden: u32 | w1 (hidden*dim) | b1 (hidden) | w2 (hidden) | b2, all
 float64 LE, row-major.
@@ -21,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Bag, FormatError
+from .data import Bag, FormatError, write_bytes_atomic
 from .numerics import Rng, ceil_frac
 
 _CHECKPOINT_MAGIC = b"MILM"
@@ -136,13 +143,16 @@ def _check_dim(params: ModelParams, dim: int, what: str) -> None:
         raise ValueError(f"{what} has dim {dim}, model expects {params.dim}")
 
 
-def _forward(params: ModelParams, features: np.ndarray):
-    pre = features @ params.w1.T + params.b1
-    hid = relu(pre)
-    z = hid @ params.w2 + params.b2
+def _hidden_and_scores(params: ModelParams, features: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``relu(features @ w1.T + b1)`` into ``out`` and return the
+    patch scores."""
+    np.matmul(features, params.w1.T, out=out)
+    np.add(out, params.b1, out=out)
+    np.maximum(out, 0.0, out=out)
+    z = out @ params.w2 + params.b2
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite patch pre-activation; model has diverged")
-    return pre, hid, sigmoid(z)
+    return sigmoid(z)
 
 
 def score_patches(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -151,7 +161,7 @@ def score_patches(params: ModelParams, features: np.ndarray) -> np.ndarray:
     if features.ndim != 2:
         raise ValueError(f"features must be 2-d, got shape {features.shape}")
     _check_dim(params, features.shape[1], "features")
-    return _forward(params, features)[2]
+    return _hidden_and_scores(params, features, np.empty((features.shape[0], params.hidden)))
 
 
 def score_patch(params: ModelParams, feature: np.ndarray) -> float:
@@ -182,51 +192,99 @@ def aggregate_topk(patch_scores: np.ndarray, fraction: float) -> tuple[float, np
     return score, np.sort(selected)
 
 
-def score_bag(params: ModelParams, bag: Bag, fraction: float) -> BagScore:
-    """Score every patch and aggregate the top fraction."""
-    _check_dim(params, bag.dim, f"bag {bag.bag_id!r}")
-    patch_scores = score_patches(params, bag.features)
-    score, topk = aggregate_topk(patch_scores, fraction)
-    return BagScore(bag.bag_id, score, patch_scores, topk)
+@dataclass(frozen=True)
+class ForwardCache:
+    """What :func:`backward` needs from one bag's forward pass.
 
-
-def backward_bag(params: ModelParams, bag: Bag, fraction: float, upstream: float) -> np.ndarray:
-    """Gradient of ``upstream * bag_score`` w.r.t. the flattened
-    parameters (same layout as :meth:`ModelParams.to_vector`).
-
-    The top-k selection is recomputed and then held fixed, so this is
-    the exact gradient wherever the selection is locally stable. Hidden
-    units sitting exactly at the relu kink contribute zero.
+    ``hidden`` is the relu activation, a view of the caller's buffer:
+    it is valid until that buffer is written again.
     """
-    _check_dim(params, bag.dim, f"bag {bag.bag_id!r}")
+
+    features: np.ndarray
+    hidden: np.ndarray
+    patch_scores: np.ndarray
+    topk: np.ndarray
+    score: float
+
+
+def forward(
+    params: ModelParams, features: np.ndarray, fraction: float, out: np.ndarray | None = None
+) -> ForwardCache:
+    """Score one bag's (patches, dim) float64 features and keep the
+    activations for :func:`backward`.
+
+    The hidden layer is written into ``out``, a C-contiguous float64
+    array of shape (patches, hidden); pass a slice of a buffer reused
+    across calls to avoid allocating one per bag. With ``out=None`` a
+    fresh one is allocated.
+    """
+    if out is None:
+        out = np.empty((features.shape[0], params.hidden))
+    patch_scores = _hidden_and_scores(params, features, out)
+    score, topk = aggregate_topk(patch_scores, fraction)
+    return ForwardCache(features, out, patch_scores, topk, score)
+
+
+def backward(params: ModelParams, cache: ForwardCache, upstream: float) -> np.ndarray:
+    """Gradient of ``upstream * bag_score`` w.r.t. the flattened
+    parameters (same layout as :meth:`ModelParams.to_vector`), from the
+    activations of the forward pass that produced ``cache`` with the
+    same ``params``.
+
+    The top-k selection is held fixed, so this is the exact gradient
+    wherever the selection is locally stable. Hidden units sitting
+    exactly at the relu kink contribute zero.
+    """
     if not math.isfinite(upstream):
         raise FloatingPointError(f"non-finite upstream gradient {upstream}")
-    pre, hid, scores = _forward(params, bag.features)
-    _, topk = aggregate_topk(scores, fraction)
+    topk = cache.topk
     m = topk.size
-
-    feats = bag.features[topk]
-    s = scores[topk]
+    hid = cache.hidden[topk]
+    s = cache.patch_scores[topk]
     # d(bag score)/d(patch score) = 1/m on the selected patches.
     dz = (upstream / m) * s * (1.0 - s)
-    d_w2 = hid[topk].T @ dz
+    d_w2 = hid.T @ dz
     d_b2 = float(np.sum(dz))
     d_hid = np.outer(dz, params.w2)
-    d_pre = d_hid * (pre[topk] > 0.0)
-    d_w1 = d_pre.T @ feats
+    # relu(pre) > 0 exactly where pre > 0, so the activation gives the mask.
+    d_pre = d_hid * (hid > 0.0)
+    d_w1 = d_pre.T @ cache.features[topk]
     d_b1 = d_pre.sum(axis=0)
     return np.concatenate([d_w1.ravel(), d_b1, d_w2, [d_b2]])
 
 
+def score_bag(
+    params: ModelParams, bag: Bag, fraction: float, out: np.ndarray | None = None
+) -> BagScore:
+    """Score every patch and aggregate the top fraction. ``out`` is an
+    optional hidden-layer buffer, as for :func:`forward`."""
+    _check_dim(params, bag.dim, f"bag {bag.bag_id!r}")
+    cache = forward(params, bag.features, fraction, out)
+    return BagScore(bag.bag_id, cache.score, cache.patch_scores, cache.topk)
+
+
+def backward_bag(params: ModelParams, bag: Bag, fraction: float, upstream: float) -> np.ndarray:
+    """Gradient of ``upstream * bag_score`` w.r.t. the flattened
+    parameters: :func:`forward` then :func:`backward`. A zero upstream
+    gives zeros without a forward pass.
+    """
+    _check_dim(params, bag.dim, f"bag {bag.bag_id!r}")
+    if upstream == 0.0:
+        return np.zeros(params.n_params)
+    return backward(params, forward(params, bag.features, fraction), upstream)
+
+
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Serialize parameters in the versioned binary checkpoint format."""
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<III", _CHECKPOINT_VERSION, params.dim, params.hidden))
-        fh.write(np.ascontiguousarray(params.w1, dtype="<f8").tobytes())
-        fh.write(np.asarray(params.b1, dtype="<f8").tobytes())
-        fh.write(np.asarray(params.w2, dtype="<f8").tobytes())
-        fh.write(struct.pack("<d", params.b2))
+    write_bytes_atomic(
+        path,
+        _CHECKPOINT_MAGIC
+        + struct.pack("<III", _CHECKPOINT_VERSION, params.dim, params.hidden)
+        + np.ascontiguousarray(params.w1, dtype="<f8").tobytes()
+        + np.asarray(params.b1, dtype="<f8").tobytes()
+        + np.asarray(params.w2, dtype="<f8").tobytes()
+        + struct.pack("<d", params.b2),
+    )
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -267,9 +325,12 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 
 __all__ = [
     "BagScore",
+    "ForwardCache",
     "ModelParams",
     "aggregate_topk",
+    "backward",
     "backward_bag",
+    "forward",
     "init_params",
     "load_checkpoint",
     "relu",

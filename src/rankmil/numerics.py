@@ -1,5 +1,4 @@
-"""Seeded pseudo-randomness, small dense-algebra helpers, and a
-finite-difference gradient checker.
+"""Seeded pseudo-randomness and a rounding-safe ``ceil(fraction * n)``.
 
 Everything downstream (data splits, weight init, bag sampling, the
 synthetic generator) draws from :class:`Rng`, so the generator algorithm
@@ -10,7 +9,7 @@ never change.
 from __future__ import annotations
 
 import math
-from typing import Callable, MutableSequence
+from typing import MutableSequence
 
 import numpy as np
 
@@ -112,56 +111,6 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.bounded_int(i + 1)
             items[i], items[j] = items[j], items[i]
-
-
-def gauss_sample(rng: Rng, n: int) -> np.ndarray:
-    """``n >= 1`` standard normal draws from ``rng``."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    return rng.gauss_block(n)
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dense matrix-vector product in float64."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"matrix must be 2-d, got shape {m.shape}")
-    if v.ndim != 1:
-        raise ValueError(f"vector must be 1-d, got shape {v.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {m.shape[0]}x{m.shape[1]}, "
-            f"vector has {v.shape[0]} entries"
-        )
-    return m @ v
-
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function at ``x``.
-
-    The reference every analytic gradient in this package is checked
-    against. Non-finite function values raise FloatingPointError.
-    """
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step size must be positive and finite, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"point must be a 1-d vector, got shape {x.shape}")
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        hi = float(f(x + step))
-        lo = float(f(x - step))
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise FloatingPointError(
-                f"non-finite function value at coordinate {i}: f+={hi}, f-={lo}"
-            )
-        grad[i] = (hi - lo) / (2.0 * h)
-    return grad
 
 
 def ceil_frac(fraction: float, n: int) -> int:

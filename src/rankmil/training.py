@@ -7,6 +7,15 @@ each unit (two distinct ones for the triplet loss). For the bag-level
 losses (cross-entropy, MSE) an epoch is one shuffled pass over all
 bags. Model selection keeps the parameters of the epoch with the best
 validation AUC, earliest epoch winning ties.
+
+Every objective runs through one step loop. A unit is a tuple of one
+to three bags; each bag gets one :func:`~rankmil.model.forward` per
+step into its own hidden-layer buffer slot (one slot per bag of a
+unit, each sized to the largest training bag), the variant's loss maps
+the bag scores to one upstream gradient per bag, and
+:func:`~rankmil.model.backward` reuses the cached activations, skipping
+bags whose upstream is exactly zero. The model parameters are views
+into the optimizer's flat vector, which every step updates in place.
 """
 
 from __future__ import annotations
@@ -14,12 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .data import Dataset
+from .data import Bag, Dataset, write_bytes_atomic
 from .losses import (
     LossConfig,
+    LossOutput,
     LossVariant,
     bag_bce_loss,
     bag_mse_loss,
@@ -27,7 +38,7 @@ from .losses import (
     triplet_ranking_loss,
 )
 from .metrics import auc
-from .model import BagScore, ModelParams, backward_bag, init_params, score_bag
+from .model import BagScore, ModelParams, backward, forward, init_params, score_bag
 from .numerics import Rng, derive
 
 _TRAIN_SALT = 0x7472616E  # "tran"
@@ -180,14 +191,42 @@ class TripletSampler:
 
 
 def score_dataset(params: ModelParams, ds: Dataset, fraction: float) -> list[BagScore]:
-    """Score every bag in manifest order."""
-    return [score_bag(params, bag, fraction) for bag in ds.bags]
+    """Score every bag in manifest order, reusing one hidden-layer
+    buffer across bags."""
+    if not ds.bags:
+        return []
+    buf = np.empty((max(bag.n_patches for bag in ds.bags), params.hidden))
+    return [score_bag(params, bag, fraction, buf[: bag.n_patches]) for bag in ds.bags]
 
 
 def _val_auc(params: ModelParams, ds_val: Dataset, fraction: float) -> float:
     scores = [bs.score for bs in score_dataset(params, ds_val, fraction)]
     labels = [bag.label for bag in ds_val.bags]
     return auc(scores, labels)
+
+
+def _unit_loss(bags: tuple[Bag, ...], scores: list[float], cfg: LossConfig) -> LossOutput:
+    """The loss of one unit and one upstream gradient per bag."""
+    if cfg.variant is LossVariant.TRIPLET_RANKING:
+        return triplet_ranking_loss(*scores, cfg)
+    if cfg.variant is LossVariant.PAIRWISE_RANKING:
+        return pairwise_ranking_loss(*scores, cfg)
+    if cfg.variant is LossVariant.CROSS_ENTROPY:
+        return bag_bce_loss(scores[0], bags[0].label)
+    return bag_mse_loss(scores[0], bags[0].label)
+
+
+def _epoch_units(
+    variant: LossVariant, sampler: TripletSampler, ds: Dataset, rng: Rng
+) -> Iterator[tuple[Bag, ...]]:
+    """The units of one epoch, drawing from ``rng`` as they are taken."""
+    if variant is LossVariant.TRIPLET_RANKING:
+        return (sampler.next_triplet() for _ in range(sampler.n_pos))
+    if variant is LossVariant.PAIRWISE_RANKING:
+        return (sampler.next_pair() for _ in range(sampler.n_pos))
+    order = list(range(len(ds.bags)))
+    rng.shuffle(order)
+    return ((ds.bags[i],) for i in order)
 
 
 def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
@@ -211,15 +250,25 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
         raise ValueError(f"train dim {ds_train.dim} != validation dim {ds_val.dim}")
 
     rng = Rng(derive(cfg.seed, _TRAIN_SALT))
-    params = init_params(ds_train.dim, cfg.hidden, rng)
-    vec = params.to_vector()
+    dim, hidden = ds_train.dim, cfg.hidden
+    vec = init_params(dim, hidden, rng).to_vector()
+    n_w1 = hidden * dim
+    # Views into vec: every optimizer step writes vec in place, and only
+    # the scalar b2 has to be read back.
+    params = ModelParams(
+        vec[:n_w1].reshape(hidden, dim),
+        vec[n_w1 : n_w1 + hidden],
+        vec[n_w1 + hidden : n_w1 + 2 * hidden],
+        vec[-1],
+    )
     if cfg.optimizer == "adam":
         opt = Adam(cfg.learning_rate, vec.size, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     else:
         opt = Sgd(cfg.learning_rate)
     sampler = TripletSampler(ds_train, rng)
-    variant = cfg.loss.variant
     frac = cfg.topk_fraction
+    rows = max(bag.n_patches for bag in ds_train.bags)
+    slots = [np.empty((rows, hidden)) for _ in range(3)]
 
     history: list[EpochStats] = []
     best_auc = -math.inf
@@ -229,43 +278,18 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
 
     for epoch in range(cfg.epochs):
         losses: list[float] = []
-        if variant in (LossVariant.TRIPLET_RANKING, LossVariant.PAIRWISE_RANKING):
-            units = sampler.n_pos
-        else:
-            order = list(range(len(ds_train.bags)))
-            rng.shuffle(order)
-            units = len(order)
-        for unit in range(units):
+        units = _epoch_units(cfg.loss.variant, sampler, ds_train, rng)
+        for unit, bags in enumerate(units):
             try:
-                if variant is LossVariant.TRIPLET_RANKING:
-                    bag_p, bag_n1, bag_n2 = sampler.next_triplet()
-                    out_p = score_bag(params, bag_p, frac)
-                    out_n1 = score_bag(params, bag_n1, frac)
-                    out_n2 = score_bag(params, bag_n2, frac)
-                    loss = triplet_ranking_loss(out_p.score, out_n1.score, out_n2.score, cfg.loss)
-                    g_p, g_n1, g_n2 = loss.grads
-                    grad = (
-                        backward_bag(params, bag_p, frac, g_p)
-                        + backward_bag(params, bag_n1, frac, g_n1)
-                        + backward_bag(params, bag_n2, frac, g_n2)
-                    )
-                elif variant is LossVariant.PAIRWISE_RANKING:
-                    bag_p, bag_n = sampler.next_pair()
-                    out_p = score_bag(params, bag_p, frac)
-                    out_n = score_bag(params, bag_n, frac)
-                    loss = pairwise_ranking_loss(out_p.score, out_n.score, cfg.loss)
-                    g_p, g_n = loss.grads
-                    grad = backward_bag(params, bag_p, frac, g_p) + backward_bag(
-                        params, bag_n, frac, g_n
-                    )
-                else:
-                    bag = ds_train.bags[order[unit]]
-                    out = score_bag(params, bag, frac)
-                    if variant is LossVariant.CROSS_ENTROPY:
-                        loss = bag_bce_loss(out.score, bag.label)
-                    else:
-                        loss = bag_mse_loss(out.score, bag.label)
-                    grad = backward_bag(params, bag, frac, loss.grads[0])
+                caches = [
+                    forward(params, bag.features, frac, slot[: bag.n_patches])
+                    for bag, slot in zip(bags, slots)
+                ]
+                loss = _unit_loss(bags, [c.score for c in caches], cfg.loss)
+                grad = np.zeros(vec.size)
+                for cache, upstream in zip(caches, loss.grads):
+                    if upstream != 0.0:
+                        grad += backward(params, cache, upstream)
             except FloatingPointError as exc:
                 raise TrainingDiverged(f"epoch {epoch}, unit {unit}: {exc}") from exc
             if not math.isfinite(loss.value):
@@ -273,8 +297,10 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
                     f"epoch {epoch}, unit {unit}: non-finite loss {loss.value}"
                 )
             losses.append(loss.value)
-            vec = opt.step(vec, grad)
-            params = ModelParams.from_vector(vec, ds_train.dim, cfg.hidden)
+            vec[:] = opt.step(vec, grad)
+            if not np.isfinite(vec).all():
+                raise TrainingDiverged(f"epoch {epoch}, unit {unit}: non-finite parameters")
+            params.b2 = float(vec[-1])
 
         try:
             val_auc = _val_auc(params, ds_val, frac)
@@ -301,7 +327,7 @@ def write_train_log(report: TrainReport, path: str | Path) -> None:
     lines += [
         f"{i},{st.loss_mean:.6f},{st.val_auc:.6f}" for i, st in enumerate(report.epochs)
     ]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 __all__ = [

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from rankmil.data import (
     load_feature_file,
     load_manifest,
     split_stratified,
+    write_bytes_atomic,
     write_feature_file,
     write_manifest,
 )
@@ -252,3 +254,47 @@ def test_split_stratified_rejects_bad_inputs():
         split_stratified(ds, 0.5, Rng(1))
     with pytest.raises(ValueError, match="fraction"):
         split_stratified(_toy_dataset(2, 2), 1.0, Rng(1))
+
+
+def test_write_bytes_atomic_replaces_whole_file(tmp_path):
+    path = tmp_path / "out.csv"
+    write_bytes_atomic(path, b"first\n")
+    write_bytes_atomic(path, b"second\n")
+    assert path.read_bytes() == b"second\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+class _HalfWriter:
+    """A file object that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def _fail_replace(src, dst):
+    raise OSError(18, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_write_bytes_atomic_failure_keeps_previous_file(tmp_path, monkeypatch, failure):
+    path = tmp_path / "model.milm"
+    write_bytes_atomic(path, b"previous contents")
+    if failure == "write":
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: _HalfWriter(real_fdopen(fd, mode)))
+    else:
+        monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError):
+        write_bytes_atomic(path, b"new contents that never land")
+    assert path.read_bytes() == b"previous contents"
+    assert os.listdir(tmp_path) == ["model.milm"]

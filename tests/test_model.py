@@ -203,6 +203,21 @@ def test_backward_zero_upstream_is_zero():
     assert np.array_equal(backward_bag(p, bag, 0.5, 0.0), np.zeros(p.n_params))
 
 
+def test_backward_zero_upstream_skips_forward(monkeypatch):
+    import rankmil.model as model_mod
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward pass ran")
+
+    monkeypatch.setattr(model_mod, "forward", no_forward)
+    p = init_params(4, 3, Rng(1))
+    bag = _bag(Rng(2).gauss_block(5 * 4).reshape(5, 4))
+    for upstream in (0.0, -0.0):
+        assert np.array_equal(backward_bag(p, bag, 0.5, upstream), np.zeros(p.n_params))
+    with pytest.raises(AssertionError, match="forward pass ran"):
+        backward_bag(p, bag, 0.5, 1.0)
+
+
 def test_backward_single_patch_closed_form():
     """One patch, one hidden unit: the chain rule fits in one line."""
     w, c, v, d = 0.8, 0.25, 1.5, -0.3

@@ -7,13 +7,8 @@ from rankmil.numerics import (
     Rng,
     ceil_frac,
     derive,
-    finite_diff_grad,
-    gauss_sample,
-    matvec,
     mix64,
 )
-
-from oracles import central_diff
 
 
 def test_mix64_golden_values():
@@ -99,18 +94,9 @@ def test_gauss_golden_values():
 
 
 def test_gauss_moments():
-    draws = gauss_sample(Rng(7), 100_000)
+    draws = Rng(7).gauss_block(100_000)
     assert abs(float(draws.mean())) < 0.02
     assert abs(float(draws.var()) - 1.0) < 0.05
-
-
-def test_gauss_sample_rejects_zero():
-    with pytest.raises(ValueError, match="sample count"):
-        gauss_sample(Rng(1), 0)
-
-
-def test_gauss_sample_deterministic():
-    assert np.array_equal(gauss_sample(Rng(42), 4), gauss_sample(Rng(42), 4))
 
 
 def test_bounded_int_range_and_coverage():
@@ -131,75 +117,6 @@ def test_shuffle_is_a_permutation():
     Rng(5).shuffle(once)
     Rng(5).shuffle(again)
     assert once == again
-
-
-def test_matvec_examples():
-    assert np.array_equal(matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0])), [3.0, 7.0])
-    v = np.array([5.0, 6.0, 7.0])
-    assert np.array_equal(matvec(np.eye(3), v), v)
-    assert np.array_equal(matvec(np.array([[2.0, 0.0], [0.0, 0.5]]), np.array([4.0, 8.0])), [8.0, 4.0])
-
-
-def test_matvec_is_linear():
-    rng = Rng(13)
-    for _ in range(10):
-        m = rng.gauss_block(12).reshape(3, 4)
-        u = rng.gauss_block(4)
-        v = rng.gauss_block(4)
-        a, b = rng.uniform(), rng.uniform()
-        lhs = matvec(m, a * u + b * v)
-        rhs = a * matvec(m, u) + b * matvec(m, v)
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-
-def test_matvec_dimension_errors():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        matvec(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(ValueError, match="2-d"):
-        matvec(np.ones(3), np.ones(3))
-    with pytest.raises(ValueError, match="1-d"):
-        matvec(np.ones((2, 2)), np.ones((2, 2)))
-
-
-def test_finite_diff_examples():
-    g = finite_diff_grad(lambda x: float(x[0] ** 2), np.array([3.0]))
-    assert abs(g[0] - 6.0) < 1e-6
-    g = finite_diff_grad(lambda x: max(0.0, float(x[0])), np.array([1.0]))
-    assert g[0] == pytest.approx(1.0, abs=1e-9)
-    g = finite_diff_grad(lambda x: float(x @ x), np.array([1.0, 2.0]))
-    assert np.allclose(g, [2.0, 4.0], atol=1e-6)
-
-
-def test_finite_diff_matches_independent_oracle():
-    def f(x):
-        return math.sin(x[0]) * x[1] + x[1] ** 3
-
-    point = np.array([0.4, 1.7])
-    mine = finite_diff_grad(f, point)
-    ref = central_diff(lambda x: f(x), list(point))
-    assert np.allclose(mine, ref, rtol=1e-10, atol=1e-12)
-
-
-def test_finite_diff_quadratic_relative_accuracy():
-    rng = Rng(21)
-    a = rng.gauss_block(25).reshape(5, 5)
-    q = a.T @ a + np.eye(5)
-
-    def f(x):
-        return float(x @ q @ x)
-
-    x = rng.gauss_block(5)
-    analytic = 2.0 * q @ x
-    approx = finite_diff_grad(f, x, h=1e-5)
-    rel = np.linalg.norm(approx - analytic) / np.linalg.norm(analytic)
-    assert rel < 1e-6
-
-
-def test_finite_diff_nonfinite_raises():
-    with pytest.raises(FloatingPointError, match="non-finite"):
-        finite_diff_grad(lambda x: math.inf, np.array([1.0]))
-    with pytest.raises(ValueError, match="step size"):
-        finite_diff_grad(lambda x: 0.0, np.array([1.0]), h=0.0)
 
 
 @pytest.mark.parametrize(

@@ -3,13 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from rankmil.cli import main
 from rankmil.data import Bag, Dataset
-from rankmil.losses import LossConfig, LossVariant
+from rankmil.losses import (
+    LossConfig,
+    LossVariant,
+    bag_bce_loss,
+    bag_mse_loss,
+    pairwise_ranking_loss,
+    triplet_ranking_loss,
+)
 from rankmil.metrics import auc
-from rankmil.model import ModelParams, score_bag
-from rankmil.numerics import Rng
-from rankmil.synth import SynthConfig, generate
+from rankmil.model import ModelParams, backward_bag, init_params, score_bag
+from rankmil.numerics import Rng, derive
+from rankmil.synth import SynthConfig, generate, write_dataset
 from rankmil.training import (
+    Adam,
+    EpochStats,
+    Sgd,
     TrainConfig,
     TrainingDiverged,
     TripletSampler,
@@ -131,9 +142,19 @@ def test_train_fixed_point_keeps_zero_loss_params():
         w2=np.array([10.0]),
         b2=-5.0,
     )
+    import rankmil.training as tr_mod
+
+    def no_backward(*args, **kwargs):
+        raise AssertionError("backward ran with a zero upstream")
+
     for optimizer in ("sgd", "adam"):
         cfg = _config(epochs=3, optimizer=optimizer, hidden=1, learning_rate=0.5)
-        report = _train_from(params, ds, ds, cfg)
+        original = tr_mod.backward
+        tr_mod.backward = no_backward
+        try:
+            report = _train_from(params, ds, ds, cfg)
+        finally:
+            tr_mod.backward = original
         assert all(st.loss_mean == 0.0 for st in report.epochs)
         assert np.array_equal(report.params.to_vector(), params.to_vector())
 
@@ -193,6 +214,27 @@ def test_training_divergence_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged, match="epoch"):
             train(tr, va, _config(optimizer="sgd", learning_rate=1e160, epochs=8))
+
+
+def _always_inf(self, vec, grad):
+    return np.full_like(vec, math.inf)
+
+
+def test_non_finite_parameters_raise_training_diverged(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(Adam, "step", _always_inf)
+    tr, va = _datasets()
+    with pytest.raises(TrainingDiverged, match="epoch 0, unit 0: non-finite parameters"):
+        train(tr, va, _config())
+    write_dataset(tr, tmp_path / "train")
+    write_dataset(va, tmp_path / "val")
+    code = main([
+        "train", "--train", str(tmp_path / "train" / "manifest.csv"),
+        "--val", str(tmp_path / "val" / "manifest.csv"), "--out", str(tmp_path / "m.milm"),
+        "--hidden", "8", "--epochs", "2",
+    ])
+    assert code == 1
+    assert "non-finite parameters" in capsys.readouterr().err
+    assert not (tmp_path / "m.milm").exists()
 
 
 def test_train_precondition_errors():
@@ -257,3 +299,86 @@ def test_score_dataset_order_and_empty():
     for bs, bag in zip(scored, tr.bags):
         assert bs.score == score_bag(report.params, bag, 0.1).score
     assert score_dataset(report.params, Dataset((), tr.dim), 0.1) == []
+
+
+def _reference_train(ds_train, ds_val, cfg):
+    """The training loop written out from the public per-bag functions:
+    each step scores every bag of its unit, backpropagates each one
+    with a fresh forward pass, and rebuilds the parameters from the
+    optimizer's vector."""
+    rng = Rng(derive(cfg.seed, 0x7472616E))  # the training stream's salt, "tran"
+    dim, hidden, frac = ds_train.dim, cfg.hidden, cfg.topk_fraction
+    params = init_params(dim, hidden, rng)
+    vec = params.to_vector()
+    if cfg.optimizer == "adam":
+        opt = Adam(cfg.learning_rate, vec.size, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    else:
+        opt = Sgd(cfg.learning_rate)
+    sampler = TripletSampler(ds_train, rng)
+    variant = cfg.loss.variant
+    history, best_auc, best_epoch, best_params = [], -math.inf, -1, params.copy()
+    for epoch in range(cfg.epochs):
+        if variant in (LossVariant.TRIPLET_RANKING, LossVariant.PAIRWISE_RANKING):
+            n_units = sampler.n_pos
+        else:
+            order = list(range(len(ds_train.bags)))
+            rng.shuffle(order)
+            n_units = len(order)
+        losses = []
+        for unit in range(n_units):
+            if variant is LossVariant.TRIPLET_RANKING:
+                bags = sampler.next_triplet()
+                scores = [score_bag(params, bag, frac).score for bag in bags]
+                loss = triplet_ranking_loss(*scores, cfg.loss)
+            elif variant is LossVariant.PAIRWISE_RANKING:
+                bags = sampler.next_pair()
+                scores = [score_bag(params, bag, frac).score for bag in bags]
+                loss = pairwise_ranking_loss(*scores, cfg.loss)
+            else:
+                bags = (ds_train.bags[order[unit]],)
+                score = score_bag(params, bags[0], frac).score
+                if variant is LossVariant.CROSS_ENTROPY:
+                    loss = bag_bce_loss(score, bags[0].label)
+                else:
+                    loss = bag_mse_loss(score, bags[0].label)
+            grad = backward_bag(params, bags[0], frac, loss.grads[0])
+            for bag, upstream in zip(bags[1:], loss.grads[1:]):
+                grad = grad + backward_bag(params, bag, frac, upstream)
+            losses.append(loss.value)
+            vec = opt.step(vec, grad)
+            params = ModelParams.from_vector(vec, dim, hidden)
+        val_scores = [score_bag(params, bag, frac).score for bag in ds_val.bags]
+        val_auc = auc(val_scores, [bag.label for bag in ds_val.bags])
+        history.append(EpochStats(float(np.mean(losses)), val_auc))
+        if val_auc > best_auc:
+            best_auc, best_epoch, best_params = val_auc, epoch, params.copy()
+    return history, best_epoch, best_params
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize(
+    "variant",
+    [
+        LossVariant.TRIPLET_RANKING,
+        LossVariant.PAIRWISE_RANKING,
+        LossVariant.CROSS_ENTROPY,
+        LossVariant.MSE,
+    ],
+)
+def test_train_matches_per_bag_reference_bit_for_bit(variant, optimizer):
+    # Bags of 8 to 40 patches, so the hidden-layer buffers are reused
+    # across bags of different sizes.
+    tr, va = _datasets(patches=(8, 40))
+    cfg = _config(
+        loss=_loss(variant), epochs=3, patience=10, learning_rate=5e-3,
+        optimizer=optimizer, topk_fraction=0.2,
+    )
+    report = train(tr, va, cfg)
+    history, best_epoch, best_params = _reference_train(tr, va, cfg)
+
+    def bits(stats):
+        return [(st.loss_mean.hex(), st.val_auc.hex()) for st in stats]
+
+    assert bits(report.epochs) == bits(history)
+    assert report.best_epoch == best_epoch
+    assert report.params.to_vector().tobytes() == best_params.to_vector().tobytes()
