@@ -34,6 +34,7 @@ from .losses import (
 from .metrics import (
     CorrelateResult,
     Correlation,
+    CovariateTable,
     EvalReport,
     UndefinedCorrelationError,
     UndefinedMetricError,
@@ -59,7 +60,6 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
     score_bag,
-    score_patch,
     score_patches,
 )
 from .numerics import Rng, ceil_frac, derive

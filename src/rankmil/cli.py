@@ -9,12 +9,12 @@ defaults included.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 from pathlib import Path
 
-from .data import FormatError, load_dataset, write_bytes_atomic
+from .data import FormatError, csv_reader, load_dataset, write_bytes_atomic
 from .losses import LossConfig, LossVariant
 from .metrics import (
     UndefinedCorrelationError,
@@ -38,54 +38,28 @@ _DATA_ERRORS = (
 )
 
 
-def _fraction_01(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
-    return value
+def _ranged(kind: type, in_range, rule: str):
+    """An argparse type that parses ``kind`` (int or float) and requires
+    ``in_range(value)``; ``rule`` says what the range is."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not in_range(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return parse
 
 
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _pos_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _pos_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+_fraction_01 = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_nonneg_float = _ranged(float, lambda v: v >= 0.0, ">= 0")
+_pos_float = _ranged(float, lambda v: v > 0.0, "> 0")
+_pos_int = _ranged(int, lambda v: v >= 1, ">= 1")
+_nonneg_int = _ranged(int, lambda v: v >= 0, ">= 0")
 
 
 def _echo_config(command: str, args: argparse.Namespace) -> None:
@@ -235,13 +209,12 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _read_score_csv(path: str) -> tuple[list[str], list[float], list[int]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
             raise FormatError(f"{path}: empty score CSV") from None
-        rows = [row for row in reader if row != []]
+        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row != []]
     if header[:2] != ["bag_id", "score"]:
         raise FormatError(f"{path}: header must start 'bag_id,score', got {','.join(header)!r}")
     has_label = "label" in header
@@ -249,14 +222,17 @@ def _read_score_csv(path: str) -> tuple[list[str], list[float], list[int]]:
     ids: list[str] = []
     scores: list[float] = []
     labels: list[int] = []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if len(row) != len(header):
             raise FormatError(f"{path}: line {lineno}: expected {len(header)} fields")
         ids.append(row[0])
         try:
-            scores.append(float(row[1]))
+            score = float(row[1])
         except ValueError:
             raise FormatError(f"{path}: line {lineno}: score is not numeric: {row[1]!r}") from None
+        if not math.isfinite(score):
+            raise FormatError(f"{path}: line {lineno}: score is non-finite: {row[1]!r}")
+        scores.append(score)
         if has_label:
             if row[label_col] not in ("0", "1"):
                 raise FormatError(

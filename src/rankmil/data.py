@@ -24,8 +24,10 @@ import math
 import os
 import secrets
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -207,11 +209,22 @@ def load_feature_file(path: str | Path) -> np.ndarray:
     return raw.astype(np.float64).reshape(k, d)
 
 
+@contextmanager
+def csv_reader(path: str | Path) -> Iterator:
+    """A ``csv.reader`` over a UTF-8 file. Inside the block, a malformed
+    record (say, a field over the csv module's size limit) or bytes that
+    are not UTF-8 raise :class:`FormatError` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield csv.reader(fh)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def load_manifest(path: str | Path) -> list[tuple[str, int, str]]:
     """Parse a manifest CSV into (bag_id, label, path) rows."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -310,6 +323,7 @@ __all__ = [
     "Bag",
     "Dataset",
     "FormatError",
+    "csv_reader",
     "load_dataset",
     "load_feature_file",
     "load_manifest",

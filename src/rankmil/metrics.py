@@ -12,11 +12,15 @@ Conventions, fixed so results are reproducible to the last bit:
 * Pearson correlation uses population sums; its two-sided p-value comes
   from the exact Student-t null via the regularized incomplete beta
   function, evaluated by continued fractions.
+
+Covariates load as a :class:`CovariateTable`: column ``names``, row
+``bag_ids`` in file order and a (rows, columns) float64 ``values``
+array, NaN where a cell is blank. :func:`correlate_table` joins it to
+the scores once, then correlates each column over its scored rows.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,10 +28,11 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .data import FormatError
+from .data import FormatError, csv_reader
 
 _BETA_MAX_ITER = 300
 _BETA_TOL = 1e-12
+_BETA_TINY = 1e-300
 _RHO_DEGENERATE = 1e-12
 
 
@@ -80,9 +85,8 @@ def auc(scores, labels) -> float:
     tp, fp, pos_per, neg_per = _threshold_counts(scores, labels)
     neg_above = fp - neg_per  # negatives strictly above each tie group
     u = float(np.sum(pos_per * (neg_above + 0.5 * neg_per)))
-    # u counts inversions; wins = total pairs - losses - ties.
-    wins_plus_half_ties = n_pos * n_neg - u
-    return wins_plus_half_ties / (n_pos * n_neg)
+    # u counts inversions; wins plus half ties = total pairs - u.
+    return (n_pos * n_neg - u) / (n_pos * n_neg)
 
 
 def roc_points(scores, labels) -> tuple[tuple[float, float], ...]:
@@ -95,9 +99,7 @@ def roc_points(scores, labels) -> tuple[tuple[float, float], ...]:
             f"ROC needs both classes, got {n_pos} positive and {n_neg} negative"
         )
     tp, fp, _, _ = _threshold_counts(scores, labels)
-    points = [(0.0, 0.0)]
-    points += [(f / n_neg, t / n_pos) for f, t in zip(fp, tp)]
-    return tuple(points)
+    return ((0.0, 0.0),) + tuple((f / n_neg, t / n_pos) for f, t in zip(fp, tp))
 
 
 def average_precision(scores, labels) -> float:
@@ -148,35 +150,26 @@ def evaluate(scores, labels) -> EvalReport:
     )
 
 
+def _off_zero(v: float) -> float:
+    """Lentz's guard: a value closer to zero than 1e-300 becomes 1e-300."""
+    return _BETA_TINY if abs(v) < _BETA_TINY else v
+
+
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        d = 1.0 / _off_zero(1.0 + aa * d)
+        c = _off_zero(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        d = 1.0 / _off_zero(1.0 + aa * d)
+        c = _off_zero(1.0 + aa / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _BETA_TOL:
@@ -248,26 +241,46 @@ def pearson(x, y) -> Correlation:
     return Correlation(rho, min(1.0, max(0.0, p)), n)
 
 
-def load_covariates(path: str | Path) -> dict[str, dict[str, float]]:
-    """Load a covariate table: header ``bag_id,<name>...``; blank cells
-    mean missing. Returns column name -> (bag_id -> value), preserving
-    column order."""
+@dataclass(frozen=True)
+class CovariateTable:
+    """A covariate table in columnar form; see the module docstring."""
+
+    names: tuple[str, ...]
+    bag_ids: tuple[str, ...]
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.values.shape != (len(self.bag_ids), len(self.names)):
+            raise ValueError(f"values has shape {self.values.shape}, expected (bag_ids, names)")
+
+
+def _bad_cell(path: Path, lineno: int, names: list[str], cells: list[str]) -> FormatError:
+    """The error for a row's first cell that is neither blank nor finite."""
+    for name, cell in zip(names, cells):
+        try:
+            problem = "non-finite" if cell and not math.isfinite(float(cell)) else ""
+        except ValueError:
+            problem = "not numeric"
+        if problem:
+            return FormatError(f"{path}: line {lineno}: column {name!r} is {problem}: {cell!r}")
+    raise AssertionError("row has no bad cell")
+
+
+def load_covariates(path: str | Path) -> CovariateTable:
+    """Load a covariate table: header ``bag_id,<name>...``, one row per
+    bag, blank cells for missing values."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    rows: dict[str, np.ndarray] = {}  # bag_id -> values, in file order
+    with csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
             raise FormatError(f"{path}: empty covariate table") from None
         if len(header) < 2 or header[0] != "bag_id":
-            raise FormatError(
-                f"{path}: header must be 'bag_id,<name>...', got {','.join(header)!r}"
-            )
+            raise FormatError(f"{path}: header must be 'bag_id,<name>...', got {','.join(header)!r}")
         names = header[1:]
         if len(set(names)) != len(names):
             raise FormatError(f"{path}: duplicate covariate names in header")
-        columns: dict[str, dict[str, float]] = {name: {} for name in names}
-        seen: set[str] = set()
         for lineno, row in enumerate(reader, start=2):
             if row == []:
                 continue
@@ -275,27 +288,20 @@ def load_covariates(path: str | Path) -> dict[str, dict[str, float]]:
                 raise FormatError(
                     f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            bag_id = row[0]
+            bag_id, cells = row[0], row[1:]
             if not bag_id:
                 raise FormatError(f"{path}: line {lineno}: empty bag_id")
-            if bag_id in seen:
+            if bag_id in rows:
                 raise FormatError(f"{path}: line {lineno}: duplicate bag_id {bag_id!r}")
-            seen.add(bag_id)
-            for name, cell in zip(names, row[1:]):
-                if cell == "":
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise FormatError(
-                        f"{path}: line {lineno}: column {name!r} is not numeric: {cell!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise FormatError(
-                        f"{path}: line {lineno}: column {name!r} is non-finite: {cell!r}"
-                    )
-                columns[name][bag_id] = v
-    return columns
+            try:
+                rows[bag_id] = np.array([float(c) if c else math.nan for c in cells])
+            except ValueError:
+                raise _bad_cell(path, lineno, names, cells) from None
+            # Only blanks may be NaN: a literal nan or inf, or one that overflows, is an error.
+            if np.count_nonzero(np.isfinite(rows[bag_id])) != len(cells) - cells.count(""):
+                raise _bad_cell(path, lineno, names, cells)
+    values = np.array(list(rows.values())).reshape(len(rows), len(names))
+    return CovariateTable(tuple(names), tuple(rows), values)
 
 
 @dataclass(frozen=True)
@@ -309,52 +315,46 @@ class CorrelateResult:
     skipped: tuple[tuple[str, str], ...]
 
 
-def correlate_table(
-    scores: Mapping[str, float] | Iterable,
-    covariates: Mapping[str, Mapping[str, float]],
-) -> CorrelateResult:
+def correlate_table(scores: Mapping | Iterable, table: CovariateTable) -> CorrelateResult:
     """Correlate bag scores against each covariate column.
 
     ``scores`` maps bag_id to score (an iterable of objects with
-    ``bag_id``/``score`` attributes, e.g. BagScore, also works).
-    Covariate entries whose bag_id has no score are dropped and counted
-    once per bag_id; a bag missing a value only drops out of that
+    ``bag_id``/``score`` attributes, e.g. BagScore, also works). Rows
+    with at least one value but no score are dropped and counted in
+    ``n_unmatched``; a bag missing a value only drops out of that
     column.
     """
-    if isinstance(scores, Mapping):
-        by_id = dict(scores)
-    else:
-        by_id = {item.bag_id: item.score for item in scores}
+    by_id = dict(scores) if isinstance(scores, Mapping) else {s.bag_id: s.score for s in scores}
     if not by_id:
         raise ValueError("no bag scores given")
-
-    covariate_ids = set()
-    for column in covariates.values():
-        covariate_ids.update(column)
-    unmatched = {bag_id for bag_id in covariate_ids if bag_id not in by_id}
-    if covariate_ids and len(unmatched) == len(covariate_ids):
+    scored = np.array([bag_id in by_id for bag_id in table.bag_ids], dtype=bool)
+    has_value = (~np.isnan(table.values)).any(axis=1)
+    if has_value.any() and not (has_value & scored).any():
         raise ValueError("no covariate row matches any scored bag")
 
+    x = np.array([by_id[bag_id] for bag_id in table.bag_ids if bag_id in by_id], dtype=np.float64)
+    columns = table.values[scored].T.copy()  # one contiguous row per covariate
+    present = ~np.isnan(columns)
     entries: list[tuple[str, Correlation]] = []
     skipped: list[tuple[str, str]] = []
-    for name, column in covariates.items():
-        ids = [bag_id for bag_id in column if bag_id in by_id]
-        if len(ids) < 3:
-            skipped.append((name, f"only {len(ids)} joined rows, need 3"))
+    for name, column, m in zip(table.names, columns, present):
+        n = int(np.count_nonzero(m))
+        if n < 3:
+            skipped.append((name, f"only {n} joined rows, need 3"))
             continue
-        xs = np.array([by_id[i] for i in ids])
-        ys = np.array([column[i] for i in ids])
         try:
-            entries.append((name, pearson(xs, ys)))
+            entries.append((name, pearson(x[m], column[m])))
         except UndefinedCorrelationError:
             skipped.append((name, "constant column"))
     entries.sort(key=lambda item: (-abs(item[1].rho), item[0]))
-    return CorrelateResult(tuple(entries), len(unmatched), tuple(skipped))
+    n_unmatched = int(np.count_nonzero(has_value & ~scored))
+    return CorrelateResult(tuple(entries), n_unmatched, tuple(skipped))
 
 
 __all__ = [
     "Correlation",
     "CorrelateResult",
+    "CovariateTable",
     "EvalReport",
     "UndefinedCorrelationError",
     "UndefinedMetricError",

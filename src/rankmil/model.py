@@ -46,10 +46,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
 @dataclass
 class ModelParams:
     """MLP weights: ``w1`` (hidden, dim), ``b1`` (hidden,), ``w2``
@@ -162,14 +158,6 @@ def score_patches(params: ModelParams, features: np.ndarray) -> np.ndarray:
         raise ValueError(f"features must be 2-d, got shape {features.shape}")
     _check_dim(params, features.shape[1], "features")
     return _hidden_and_scores(params, features, np.empty((features.shape[0], params.hidden)))
-
-
-def score_patch(params: ModelParams, feature: np.ndarray) -> float:
-    """Score a single patch vector."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.ndim != 1:
-        raise ValueError(f"feature must be 1-d, got shape {feature.shape}")
-    return float(score_patches(params, feature[np.newaxis, :])[0])
 
 
 def aggregate_topk(patch_scores: np.ndarray, fraction: float) -> tuple[float, np.ndarray]:
@@ -333,10 +321,8 @@ __all__ = [
     "forward",
     "init_params",
     "load_checkpoint",
-    "relu",
     "save_checkpoint",
     "score_bag",
-    "score_patch",
     "score_patches",
     "sigmoid",
 ]

@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
-from rankmil.cli import main
+from rankmil.cli import _read_score_csv, main
+from rankmil.data import FormatError
 
 # Small enough that the whole pipeline runs in well under a second.
 _SYNTH = [
@@ -94,6 +96,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "exceeds --patches-max" in capsys.readouterr().err
     assert main(["train", "--train", "x", "--val", "y", "--out", "z", "--alpha1", "-1"]) == 2
     assert main(["score", "--model", "m", "--data", "d", "--out", "o", "--topk", "0"]) == 2
+
+
+def test_flag_range_messages(tmp_path, capsys):
+    out = str(tmp_path / "d")
+    cases = [
+        (["synth", "--out", out, "--witness-rate", "0"], "must be in (0, 1], got 0"),
+        (["synth", "--out", out, "--witness-rate", "x"], "not a number: 'x'"),
+        (["synth", "--out", out, "--shift", "-0.5"], "must be >= 0, got -0.5"),
+        (["synth", "--out", out, "--shift", "nan"], "must be >= 0, got nan"),
+        (["synth", "--out", out, "--dim", "0"], "must be >= 1, got 0"),
+        (["synth", "--out", out, "--dim", "2.5"], "not an integer: '2.5'"),
+        (["synth", "--out", out, "--pos", "-1"], "must be >= 0, got -1"),
+        (["train", "--train", "x", "--val", "y", "--out", "z", "--lr", "0"], "must be > 0, got 0"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_data_errors_exit_1(tmp_path, capsys):
@@ -195,6 +214,47 @@ def test_eval_malformed_score_csv_exit_1(tmp_path, capsys):
     scores.write_text("bag_id,score,label\na,high,1\n")
     assert main(["eval", "--scores", str(scores)]) == 1
     assert "score is not numeric" in capsys.readouterr().err
+
+
+def test_score_csv_malformed_csv_bytes_and_non_finite(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text('bag_id,score,label\n"' + "a" * 200_000 + '",0.5,1\n')
+    with pytest.raises(FormatError, match=re.escape(f"{path}: field larger than field limit")):
+        _read_score_csv(str(path))
+    path.write_bytes(b"bag_id,score,label\na,0.5,1\n\xff,0.2,0\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: 'utf-8' codec can't decode")):
+        _read_score_csv(str(path))
+    for cell in ("nan", "inf", "-Infinity", "1e999"):
+        path.write_text(f"bag_id,score,label\na,0.5,1\nb,{cell},0\n")
+        with pytest.raises(FormatError) as err:
+            _read_score_csv(str(path))
+        assert str(err.value) == f"{path}: line 3: score is non-finite: {cell!r}"
+    # Blank lines count towards the line number.
+    path.write_text("bag_id,score,label\n\na,0.5,1\n\nb,x,0\n")
+    with pytest.raises(FormatError, match="line 5: score is not numeric: 'x'"):
+        _read_score_csv(str(path))
+
+
+def test_malformed_csv_inputs_exit_1_naming_the_file(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    good.write_text("bag_id,score,label\na,0.9,1\nb,0.1,0\nc,0.5,0\n")
+    huge = tmp_path / "huge.csv"
+    huge.write_text('bag_id,score,label\n"' + "a" * 200_000 + '",0.5,1\n')
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"bag_id,score,label\na,0.9,1\nb,0.1,\xff\n")
+    nan = tmp_path / "nan.csv"
+    nan.write_text("bag_id,score,label\na,0.9,1\nb,nan,0\n")
+    for bad in (huge, binary, nan):
+        assert main(["eval", "--scores", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        for scores, cov in ((bad, good), (good, bad)):
+            assert main(["correlate", "--scores", str(scores), "--covariates", str(cov),
+                         "--out", str(tmp_path / "o.csv")]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(b"bag_id,label,path\n\xff,1,a.milf\n")
+    assert main(["train", "--train", str(manifest), "--val", str(manifest), "--out", "m"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: 'utf-8' codec")
 
 
 def test_correlate_output_and_warnings(tmp_path, capsys):

@@ -1,0 +1,67 @@
+"""Random truncations and byte flips of a covariate table and a score
+CSV: the readers either load the file or raise FormatError, never any
+other exception."""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankmil.cli import _read_score_csv
+from rankmil.data import FormatError
+from rankmil.metrics import load_covariates
+
+_COVARIATES = (
+    b"bag_id,tme_t_cells_cd8,gene_00001,tme_fibroblasts\n"
+    b"pos_0000,3.9811,,2.2104\n"
+    b"neg_0001,2.5123,0.4471,3.0117\n"
+    b'"neg_0002",-1.5e-3,12.75,\n'
+    b"pos_0003,,8.0,1.0\n"
+)
+_SCORES = (
+    b"bag_id,score,label\n"
+    b"pos_0000,0.912345,1\n"
+    b"neg_0001,0.104400,0\n"
+    b"neg_0002,0.500000,0\n"
+    b"pos_0003,0.750001,1\n"
+)
+
+
+def _mutations(original: bytes):
+    """The original bytes cut at a random length, with up to four bytes
+    replaced by random values."""
+    n = len(original)
+    return st.tuples(
+        st.integers(0, n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 255)), max_size=4),
+    ).map(lambda cut_flips: _apply(original, *cut_flips))
+
+
+def _apply(original: bytes, cut: int, flips) -> bytes:
+    data = bytearray(original)
+    for index, value in flips:
+        data[index] = value
+    return bytes(data[:cut])
+
+
+def _loads_or_format_error(reader, data: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(data)
+        try:
+            reader(path)
+        except FormatError:
+            pass
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_mutations(_COVARIATES))
+def test_mutated_covariate_table_raises_only_format_error(data):
+    _loads_or_format_error(load_covariates, data)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_mutations(_SCORES))
+def test_mutated_score_csv_raises_only_format_error(data):
+    _loads_or_format_error(lambda path: _read_score_csv(str(path)), data)

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -153,6 +154,16 @@ def test_manifest_errors(tmp_path):
         load_manifest(path)
     path.write_text("bag_id,label,path\na,1\n")
     with pytest.raises(FormatError, match="expected 3 fields"):
+        load_manifest(path)
+
+
+def test_manifest_malformed_csv_and_bytes(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text('bag_id,label,path\na,1,"' + "x" * 200_000 + '"\n')
+    with pytest.raises(FormatError, match=re.escape(f"{path}: field larger than field limit")):
+        load_manifest(path)
+    path.write_bytes(b"bag_id,label,path\na,1,\xffa.milf\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: 'utf-8' codec can't decode byte 0xff")):
         load_manifest(path)
 
 

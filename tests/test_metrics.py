@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from rankmil.data import FormatError
 from rankmil.metrics import (
+    CorrelateResult,
     Correlation,
+    CovariateTable,
     UndefinedCorrelationError,
     UndefinedMetricError,
     auc,
@@ -227,13 +230,76 @@ def test_pearson_p_monotone_in_rho():
     assert all(0.0 <= p <= 1.0 for p in ps)
 
 
+def _table(columns):
+    """A CovariateTable from column name -> (bag_id -> value); rows in
+    order of first appearance, NaN where a column has no value."""
+    bag_ids = list(dict.fromkeys(b for column in columns.values() for b in column))
+    values = np.full((len(bag_ids), len(columns)), np.nan)
+    for j, column in enumerate(columns.values()):
+        for bag_id, v in column.items():
+            values[bag_ids.index(bag_id), j] = v
+    return CovariateTable(tuple(columns), tuple(bag_ids), values)
+
+
+def _as_columns(table):
+    """The dict-of-dicts form the reference join takes: column name ->
+    (bag_id -> value) over non-blank cells, rows in file order."""
+    return {
+        name: {b: float(v) for b, v in zip(table.bag_ids, table.values[:, j]) if not np.isnan(v)}
+        for j, name in enumerate(table.names)
+    }
+
+
+def _reference_correlate(scores, covariates):
+    """The dict-of-dicts join ``correlate_table`` used before the columnar
+    table, kept as the reference the columnar join must match bit for bit."""
+    if isinstance(scores, dict):
+        by_id = dict(scores)
+    else:
+        by_id = {item.bag_id: item.score for item in scores}
+    if not by_id:
+        raise ValueError("no bag scores given")
+
+    covariate_ids = set()
+    for column in covariates.values():
+        covariate_ids.update(column)
+    unmatched = {bag_id for bag_id in covariate_ids if bag_id not in by_id}
+    if covariate_ids and len(unmatched) == len(covariate_ids):
+        raise ValueError("no covariate row matches any scored bag")
+
+    entries = []
+    skipped = []
+    for name, column in covariates.items():
+        ids = [bag_id for bag_id in column if bag_id in by_id]
+        if len(ids) < 3:
+            skipped.append((name, f"only {len(ids)} joined rows, need 3"))
+            continue
+        xs = np.array([by_id[i] for i in ids])
+        ys = np.array([column[i] for i in ids])
+        try:
+            entries.append((name, pearson(xs, ys)))
+        except UndefinedCorrelationError:
+            skipped.append((name, "constant column"))
+    entries.sort(key=lambda item: (-abs(item[1].rho), item[0]))
+    return CorrelateResult(tuple(entries), len(unmatched), tuple(skipped))
+
+
 def test_load_covariates(tmp_path):
     path = tmp_path / "cov.csv"
     path.write_text("bag_id,alpha,beta\na,1.0,4.5\nb,2.0,\nc,3.0,0.5\n")
     table = load_covariates(path)
-    assert list(table) == ["alpha", "beta"]
-    assert table["alpha"] == {"a": 1.0, "b": 2.0, "c": 3.0}
-    assert table["beta"] == {"a": 4.5, "c": 0.5}  # blank cell means missing
+    assert table.names == ("alpha", "beta")
+    assert table.bag_ids == ("a", "b", "c")
+    assert table.values.dtype == np.float64
+    assert table.values[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert table.values[[0, 2], 1].tolist() == [4.5, 0.5]
+    assert np.isnan(table.values[1, 1])  # blank cell means missing
+    assert _as_columns(table) == {
+        "alpha": {"a": 1.0, "b": 2.0, "c": 3.0},
+        "beta": {"a": 4.5, "c": 0.5},
+    }
+    path.write_text("bag_id,alpha\n")
+    assert load_covariates(path).values.shape == (0, 1)
 
 
 def test_load_covariates_errors(tmp_path):
@@ -255,14 +321,43 @@ def test_load_covariates_errors(tmp_path):
         load_covariates(path)
 
 
+def test_load_covariates_rejects_non_finite_cells_not_blanks(tmp_path):
+    path = tmp_path / "cov.csv"
+    for cell in ("nan", "NaN", "inf", "-inf", " infinity", "1e999"):
+        path.write_text(f"bag_id,alpha,beta\na,1.0,\nb,,{cell}\n")
+        with pytest.raises(FormatError) as err:
+            load_covariates(path)
+        assert str(err.value) == f"{path}: line 3: column 'beta' is non-finite: {cell!r}"
+    path.write_text("bag_id,alpha,beta\na,1.0,\nb,,2.0,\n")
+    with pytest.raises(FormatError, match=r"line 3: expected 3 fields, got 4"):
+        load_covariates(path)
+    path.write_text("bag_id,alpha,beta\na,1.0,2\n,,\n")
+    with pytest.raises(FormatError, match=r"line 3: empty bag_id"):
+        load_covariates(path)
+    # The first bad cell of the row is the one named.
+    path.write_text("bag_id,alpha,beta,gamma\na,1.0,x,inf\n")
+    with pytest.raises(FormatError, match=r"line 2: column 'beta' is not numeric: 'x'"):
+        load_covariates(path)
+
+
+def test_load_covariates_malformed_csv_and_bytes(tmp_path):
+    path = tmp_path / "cov.csv"
+    path.write_text('bag_id,alpha\na,"' + "9" * 200_000 + '"\n')
+    with pytest.raises(FormatError, match=re.escape(f"{path}: field larger than field limit")):
+        load_covariates(path)
+    path.write_bytes(b"bag_id,alpha\na,1.0\nb,\xff\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: 'utf-8' codec can't decode")):
+        load_covariates(path)
+
+
 def test_correlate_table_trivial_columns():
     # Integer-valued scores keep the +-1 correlations exact in float.
     scores = {f"b{i}": float(i) for i in range(6)}
-    covariates = {
+    covariates = _table({
         "same": {k: v for k, v in scores.items()},
         "anti": {k: -v for k, v in scores.items()},
         "flat": {k: 1.0 for k in scores},
-    }
+    })
     result = correlate_table(scores, covariates)
     names = [name for name, _ in result.entries]
     # +1 and -1 tie on |rho|; names break the tie.
@@ -275,27 +370,95 @@ def test_correlate_table_trivial_columns():
 
 def test_correlate_table_join_behaviour():
     scores = {"a": 0.1, "b": 0.5, "c": 0.9, "d": 0.3}
-    covariates = {"x": {"a": 1.0, "b": 2.0, "c": 3.0, "zz": 9.0}}
+    covariates = _table({"x": {"a": 1.0, "b": 2.0, "c": 3.0, "zz": 9.0}})
     result = correlate_table(scores, covariates)
     assert result.n_unmatched == 1
     assert result.entries[0][1].n == 3
     # Too few joined rows leaves the column reported as skipped.
-    sparse = correlate_table(scores, {"x": {"a": 1.0, "zz": 2.0}})
+    sparse = correlate_table(scores, _table({"x": {"a": 1.0, "zz": 2.0}}))
     assert sparse.entries == ()
     assert sparse.skipped[0][0] == "x"
     with pytest.raises(ValueError, match="no covariate row"):
-        correlate_table(scores, {"x": {"nope": 1.0}})
+        correlate_table(scores, _table({"x": {"nope": 1.0}}))
     with pytest.raises(ValueError, match="no bag scores"):
-        correlate_table({}, {"x": {"a": 1.0}})
+        correlate_table({}, _table({"x": {"a": 1.0}}))
+
+
+class _Scored:
+    def __init__(self, bag_id, score):
+        self.bag_id = bag_id
+        self.score = score
 
 
 def test_correlate_table_accepts_bag_score_objects():
-    class Scored:
-        def __init__(self, bag_id, score):
-            self.bag_id = bag_id
-            self.score = score
-
-    items = [Scored(f"b{i}", float(i)) for i in range(4)]
-    result = correlate_table(items, {"x": {f"b{i}": float(i * i) for i in range(4)}})
+    items = [_Scored(f"b{i}", float(i)) for i in range(4)]
+    result = correlate_table(items, _table({"x": {f"b{i}": float(i * i) for i in range(4)}}))
     assert result.entries[0][1].n == 4
     assert isinstance(result.entries[0][1], Correlation)
+
+
+def test_covariate_table_checks_shape():
+    with pytest.raises(ValueError, match="shape"):
+        CovariateTable(("x", "y"), ("a",), np.zeros((1, 3)))
+
+
+def _random_cohort(seed):
+    """Scores and a covariate table with blanks, unmatched rows, an
+    all-blank row, a column with 2 joined rows, a constant column, and
+    columns whose |rho| ties exactly."""
+    rng = np.random.default_rng(seed)
+    n_rows = 60
+    bag_ids = [f"bag{i:03d}" for i in rng.permutation(n_rows)]
+    scored = bag_ids[:45] + ["score_only_1", "score_only_2"]
+    scores = {b: float(rng.random()) for b in scored}
+    values = rng.normal(size=(n_rows, 30)) * rng.lognormal(size=30)
+    values[rng.random(values.shape) < 0.2] = np.nan
+    base = np.round(rng.normal(size=n_rows) * 8.0)
+    names = [f"gene_{j:02d}" for j in range(30)]
+    extra = {
+        "tie_b": base, "tie_a": base.copy(), "tie_neg": -base,
+        "flat": np.full(n_rows, 2.5),
+        "sparse": np.where(np.isin(np.arange(n_rows), (0, 50, 51, 52)), 1.0, np.nan),
+    }
+    values = np.column_stack([values] + list(extra.values()))
+    names += list(extra)
+    values[7] = np.nan  # a row with no value at all
+    order = rng.permutation(len(names))
+    return scores, CovariateTable(tuple(names[j] for j in order), tuple(bag_ids), values[:, order])
+
+
+def _bits(result):
+    return (
+        [(name, c.rho.hex(), c.p_value.hex(), c.n) for name, c in result.entries],
+        result.n_unmatched,
+        result.skipped,
+    )
+
+
+def test_correlate_table_matches_dict_of_dicts_reference_bit_for_bit(tmp_path):
+    for seed in range(5):
+        scores, table = _random_cohort(seed)
+        assert np.isnan(table.values[7]).all() and table.bag_ids[7] in scores
+        expected = _reference_correlate(scores, _as_columns(table))
+        got = correlate_table(scores, table)
+        assert _bits(got) == _bits(expected)
+        assert dict(got.skipped)["flat"] == "constant column"
+        assert dict(got.skipped)["sparse"].startswith("only ")
+        assert got.n_unmatched == 15  # the all-blank row is scored, so all 15 count
+        tie = [name for name, _ in got.entries if name.startswith("tie_")]
+        assert tie == ["tie_a", "tie_b", "tie_neg"]
+        items = [_Scored(b, v) for b, v in scores.items()]
+        expected_items = _reference_correlate(items, _as_columns(table))
+        assert _bits(correlate_table(items, table)) == _bits(expected_items)
+
+        # The same table through the CSV loader, with an unscored all-blank row added.
+        lines = ["bag_id," + ",".join(table.names)]
+        for b, row in zip(table.bag_ids, table.values.tolist()):
+            lines.append(b + "," + ",".join("" if math.isnan(v) else repr(v) for v in row))
+        lines.append("blank_only" + "," * len(table.names))
+        path = tmp_path / f"cov{seed}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_covariates(path)
+        assert loaded.bag_ids == table.bag_ids + ("blank_only",)
+        assert np.array_equal(loaded.values[:-1], table.values, equal_nan=True)
+        assert _bits(correlate_table(scores, loaded)) == _bits(expected)

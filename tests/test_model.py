@@ -12,10 +12,8 @@ from rankmil.model import (
     backward_bag,
     init_params,
     load_checkpoint,
-    relu,
     save_checkpoint,
     score_bag,
-    score_patch,
     score_patches,
     sigmoid,
 )
@@ -39,10 +37,6 @@ def test_sigmoid_stable_at_extremes():
     assert s[0] == 0.0 and s[4] == 1.0
     assert s[2] == 0.5
     assert np.all(np.diff(s) >= 0.0)
-
-
-def test_relu():
-    assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
 
 def test_params_validation_and_vector_round_trip():
@@ -89,14 +83,14 @@ def test_init_deterministic():
     assert not np.array_equal(a.to_vector(), c.to_vector())
 
 
-def test_score_patch_examples():
+def test_score_patches_examples():
     zero = _params([[0.0, 0.0]], [0.0], [0.0], 0.0)
-    assert score_patch(zero, np.array([3.0, -4.0])) == 0.5
+    assert score_patches(zero, np.array([[3.0, -4.0]]))[0] == 0.5
     p = _params([[1.0, 0.0]], [0.0], [1.0], 0.0)
-    assert score_patch(p, np.array([-5.0, 9.0])) == 0.5  # relu gates the input
-    s = score_patch(p, np.array([2.0, 0.0]))
-    assert abs(s - 0.8808) < 1e-4
-    assert s == float(sigmoid(np.array([2.0]))[0])
+    s = score_patches(p, np.array([[-5.0, 9.0], [2.0, 0.0]]))
+    assert s[0] == 0.5  # relu gates the input
+    assert abs(s[1] - 0.8808) < 1e-4
+    assert s[1] == sigmoid(np.array([2.0]))[0]
 
 
 def test_score_patches_validation():
@@ -147,7 +141,7 @@ def test_score_bag_one_patch_and_constant_bag():
     p = _params([[1.0, -1.0]], [0.1], [2.0], -0.5)
     single = _bag([[0.3, 0.8]])
     out = score_bag(p, single, 0.1)
-    assert out.score == score_patch(p, np.array([0.3, 0.8]))
+    assert out.score == score_patches(p, np.array([[0.3, 0.8]]))[0]
     assert np.array_equal(out.topk_indices, [0])
     same = _bag([[0.3, 0.8]] * 7)
     assert score_bag(p, same, 0.5).score == out.score
@@ -190,7 +184,7 @@ def test_aggregate_monotonicity():
     # only raise the aggregate.
     target = int(out.topk_indices[0])
     grad = central_diff(
-        lambda row: score_patch(p, np.asarray(row)), list(features[target])
+        lambda row: float(score_patches(p, np.asarray([row]))[0]), list(features[target])
     )
     raised = features.copy()
     raised[target] += 1e-4 * np.asarray(grad) / max(1e-12, float(np.linalg.norm(grad)))
