@@ -15,7 +15,6 @@ from .data import (
     load_dataset,
     load_feature_file,
     load_manifest,
-    split_stratified,
     write_feature_file,
     write_manifest,
 )
@@ -25,7 +24,6 @@ from .losses import (
     LossVariant,
     bag_bce_loss,
     bag_mse_loss,
-    euclidean_distance,
     pairwise_ranking_loss,
     quadruplet_loss,
     triplet_embedding_loss,
@@ -60,7 +58,6 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
     score_bag,
-    score_patches,
 )
 from .numerics import Rng, ceil_frac, derive
 from .synth import SynthConfig, generate, signal_direction, write_dataset
@@ -71,7 +68,6 @@ from .training import (
     TrainConfig,
     TrainReport,
     TrainingDiverged,
-    TripletSampler,
     score_dataset,
     train,
     write_train_log,

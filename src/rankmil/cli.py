@@ -222,9 +222,13 @@ def _read_score_csv(path: str) -> tuple[list[str], list[float], list[int]]:
     ids: list[str] = []
     scores: list[float] = []
     labels: list[int] = []
+    seen: set[str] = set()
     for lineno, row in rows:
         if len(row) != len(header):
             raise FormatError(f"{path}: line {lineno}: expected {len(header)} fields")
+        if row[0] in seen:
+            raise FormatError(f"{path}: line {lineno}: duplicate bag_id {row[0]!r}")
+        seen.add(row[0])
         ids.append(row[0])
         try:
             score = float(row[1])
@@ -262,13 +266,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     ids, scores, _ = _read_score_csv(args.scores)
-    by_id: dict[str, float] = {}
-    for bag_id, score in zip(ids, scores):
-        if bag_id in by_id:
-            raise FormatError(f"{args.scores}: duplicate bag_id {bag_id!r}")
-        by_id[bag_id] = score
     covariates = load_covariates(args.covariates)
-    result = correlate_table(by_id, covariates)
+    result = correlate_table(dict(zip(ids, scores)), covariates)
     if result.n_unmatched:
         print(f"warning: dropped {result.n_unmatched} covariate rows with no score", file=sys.stderr)
     for name, reason in result.skipped:

@@ -31,8 +31,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .numerics import Rng
-
 _FEATURE_MAGIC = b"MILF"
 _HEADER_LEN = 12  # magic + K + D
 
@@ -285,40 +283,6 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     return Dataset(tuple(bags), bags[0].dim if bags else 0)
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def split_stratified(ds: Dataset, fraction: float, rng: Rng) -> tuple[Dataset, Dataset]:
-    """Split a two-class dataset into two parts, per-class.
-
-    Each class is shuffled independently; the first part receives
-    ``round(fraction * class_count)`` bags of each class, clamped so
-    both parts keep at least one bag per class. Bags retain their
-    original manifest order within each part.
-    """
-    if not (0.0 < fraction < 1.0):
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    pos = [i for i, b in enumerate(ds.bags) if b.label == 1]
-    neg = [i for i, b in enumerate(ds.bags) if b.label == 0]
-    if len(pos) < 2 or len(neg) < 2:
-        raise ValueError(
-            f"need at least 2 bags per class to split, got {len(pos)} positive "
-            f"and {len(neg)} negative"
-        )
-    first: list[int] = []
-    for cls in (pos, neg):
-        take = _round_half_up(fraction * len(cls))
-        take = min(max(take, 1), len(cls) - 1)
-        shuffled = list(cls)
-        rng.shuffle(shuffled)
-        first.extend(shuffled[:take])
-    chosen = set(first)
-    part_a = tuple(b for i, b in enumerate(ds.bags) if i in chosen)
-    part_b = tuple(b for i, b in enumerate(ds.bags) if i not in chosen)
-    return Dataset(part_a, ds.dim), Dataset(part_b, ds.dim)
-
-
 __all__ = [
     "Bag",
     "Dataset",
@@ -327,7 +291,6 @@ __all__ = [
     "load_dataset",
     "load_feature_file",
     "load_manifest",
-    "split_stratified",
     "write_bytes_atomic",
     "write_feature_file",
     "write_manifest",

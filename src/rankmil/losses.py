@@ -141,8 +141,8 @@ def quadruplet_loss(d_ij: float, d_ik: float, d_lk: float, cfg: LossConfig) -> L
 
     ``d_ij`` is the within-pair distance being pushed down; ``d_ik``
     shares an endpoint with it, ``d_lk`` shares none. Gradients are
-    with respect to the distances themselves (use
-    :func:`euclidean_distance` or any metric upstream).
+    with respect to the distances themselves, so any metric can be used
+    upstream.
     """
     _require_variant(cfg, LossVariant.QUADRUPLET)
     _require_finite(d_ij=d_ij, d_ik=d_ik, d_lk=d_lk)
@@ -179,23 +179,12 @@ def bag_mse_loss(score: float, label: int) -> LossOutput:
     return LossOutput(diff * diff, (2.0 * diff,))
 
 
-def euclidean_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Shipped default metric for the quadruplet loss."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"vectors must be 1-d with equal shapes, got {u.shape}, {v.shape}")
-    d = u - v
-    return math.sqrt(float(d @ d))
-
-
 __all__ = [
     "LossConfig",
     "LossOutput",
     "LossVariant",
     "bag_bce_loss",
     "bag_mse_loss",
-    "euclidean_distance",
     "pairwise_ranking_loss",
     "quadruplet_loss",
     "triplet_embedding_loss",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -315,24 +315,22 @@ class CorrelateResult:
     skipped: tuple[tuple[str, str], ...]
 
 
-def correlate_table(scores: Mapping | Iterable, table: CovariateTable) -> CorrelateResult:
-    """Correlate bag scores against each covariate column.
+def correlate_table(scores: Mapping[str, float], table: CovariateTable) -> CorrelateResult:
+    """Correlate bag scores, a map from bag_id to score, against each
+    covariate column.
 
-    ``scores`` maps bag_id to score (an iterable of objects with
-    ``bag_id``/``score`` attributes, e.g. BagScore, also works). Rows
-    with at least one value but no score are dropped and counted in
+    Rows with at least one value but no score are dropped and counted in
     ``n_unmatched``; a bag missing a value only drops out of that
     column.
     """
-    by_id = dict(scores) if isinstance(scores, Mapping) else {s.bag_id: s.score for s in scores}
-    if not by_id:
+    if not scores:
         raise ValueError("no bag scores given")
-    scored = np.array([bag_id in by_id for bag_id in table.bag_ids], dtype=bool)
+    scored = np.array([bag_id in scores for bag_id in table.bag_ids], dtype=bool)
     has_value = (~np.isnan(table.values)).any(axis=1)
     if has_value.any() and not (has_value & scored).any():
         raise ValueError("no covariate row matches any scored bag")
 
-    x = np.array([by_id[bag_id] for bag_id in table.bag_ids if bag_id in by_id], dtype=np.float64)
+    x = np.array([scores[bag_id] for bag_id in table.bag_ids if bag_id in scores], dtype=np.float64)
     columns = table.values[scored].T.copy()  # one contiguous row per covariate
     present = ~np.isnan(columns)
     entries: list[tuple[str, Correlation]] = []

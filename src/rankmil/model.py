@@ -139,27 +139,6 @@ def _check_dim(params: ModelParams, dim: int, what: str) -> None:
         raise ValueError(f"{what} has dim {dim}, model expects {params.dim}")
 
 
-def _hidden_and_scores(params: ModelParams, features: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``relu(features @ w1.T + b1)`` into ``out`` and return the
-    patch scores."""
-    np.matmul(features, params.w1.T, out=out)
-    np.add(out, params.b1, out=out)
-    np.maximum(out, 0.0, out=out)
-    z = out @ params.w2 + params.b2
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("non-finite patch pre-activation; model has diverged")
-    return sigmoid(z)
-
-
-def score_patches(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Scores in (0, 1) for each row of a (patches, dim) array."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-d, got shape {features.shape}")
-    _check_dim(params, features.shape[1], "features")
-    return _hidden_and_scores(params, features, np.empty((features.shape[0], params.hidden)))
-
-
 def aggregate_topk(patch_scores: np.ndarray, fraction: float) -> tuple[float, np.ndarray]:
     """Mean of the ``max(1, ceil(fraction * K))`` largest scores.
 
@@ -208,7 +187,13 @@ def forward(
     """
     if out is None:
         out = np.empty((features.shape[0], params.hidden))
-    patch_scores = _hidden_and_scores(params, features, out)
+    np.matmul(features, params.w1.T, out=out)
+    np.add(out, params.b1, out=out)
+    np.maximum(out, 0.0, out=out)
+    z = out @ params.w2 + params.b2
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("non-finite patch pre-activation; model has diverged")
+    patch_scores = sigmoid(z)
     score, topk = aggregate_topk(patch_scores, fraction)
     return ForwardCache(features, out, patch_scores, topk, score)
 
@@ -323,6 +308,5 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "score_bag",
-    "score_patches",
     "sigmoid",
 ]

@@ -42,6 +42,9 @@ from .model import BagScore, ModelParams, backward, forward, init_params, score_
 from .numerics import Rng, derive
 
 _TRAIN_SALT = 0x7472616E  # "tran"
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 _TRAINABLE = (
     LossVariant.TRIPLET_RANKING,
@@ -65,9 +68,6 @@ class TrainConfig:
     patience: int = 20
     seed: int = 1
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.loss.variant not in _TRAINABLE:
@@ -114,80 +114,21 @@ class Sgd:
 
 
 class Adam:
-    """Adam with bias correction; defaults beta1=0.9, beta2=0.999,
-    eps=1e-8."""
+    """Adam with bias correction, beta1=0.9, beta2=0.999, eps=1e-8."""
 
-    def __init__(
-        self,
-        learning_rate: float,
-        size: int,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, learning_rate: float, size: int) -> None:
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
 
     def step(self, vec: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return vec - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class TripletSampler:
-    """Cycles positive bags without replacement, reshuffling each epoch;
-    negatives are drawn uniformly per unit."""
-
-    def __init__(self, ds: Dataset, rng: Rng) -> None:
-        self._bags = ds.bags
-        self._pos = [i for i, b in enumerate(ds.bags) if b.label == 1]
-        self._neg = [i for i, b in enumerate(ds.bags) if b.label == 0]
-        self._rng = rng
-        self._order: list[int] = []
-        self._cursor = 0
-
-    @property
-    def n_pos(self) -> int:
-        return len(self._pos)
-
-    @property
-    def n_neg(self) -> int:
-        return len(self._neg)
-
-    def _next_pos(self):
-        if self._cursor >= len(self._order):
-            self._order = list(self._pos)
-            self._rng.shuffle(self._order)
-            self._cursor = 0
-        idx = self._order[self._cursor]
-        self._cursor += 1
-        return self._bags[idx]
-
-    def next_triplet(self):
-        """One positive and two distinct negatives, in random order."""
-        if len(self._neg) < 2:
-            raise ValueError(f"triplet sampling needs >= 2 negatives, got {len(self._neg)}")
-        pos = self._next_pos()
-        i = self._rng.bounded_int(len(self._neg))
-        j = self._rng.bounded_int(len(self._neg) - 1)
-        if j >= i:
-            j += 1
-        return pos, self._bags[self._neg[i]], self._bags[self._neg[j]]
-
-    def next_pair(self):
-        """One positive and one negative."""
-        if not self._neg:
-            raise ValueError("pair sampling needs >= 1 negative")
-        pos = self._next_pos()
-        return pos, self._bags[self._neg[self._rng.bounded_int(len(self._neg))]]
+        self.m = _ADAM_BETA1 * self.m + (1.0 - _ADAM_BETA1) * grad
+        self.v = _ADAM_BETA2 * self.v + (1.0 - _ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1.0 - _ADAM_BETA1**self.t)
+        v_hat = self.v / (1.0 - _ADAM_BETA2**self.t)
+        return vec - self.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def score_dataset(params: ModelParams, ds: Dataset, fraction: float) -> list[BagScore]:
@@ -216,17 +157,25 @@ def _unit_loss(bags: tuple[Bag, ...], scores: list[float], cfg: LossConfig) -> L
     return bag_mse_loss(scores[0], bags[0].label)
 
 
-def _epoch_units(
-    variant: LossVariant, sampler: TripletSampler, ds: Dataset, rng: Rng
-) -> Iterator[tuple[Bag, ...]]:
+def _epoch_units(variant: LossVariant, ds: Dataset, rng: Rng) -> Iterator[tuple[Bag, ...]]:
     """The units of one epoch, drawing from ``rng`` as they are taken."""
-    if variant is LossVariant.TRIPLET_RANKING:
-        return (sampler.next_triplet() for _ in range(sampler.n_pos))
-    if variant is LossVariant.PAIRWISE_RANKING:
-        return (sampler.next_pair() for _ in range(sampler.n_pos))
-    order = list(range(len(ds.bags)))
-    rng.shuffle(order)
-    return ((ds.bags[i],) for i in order)
+    if variant in (LossVariant.TRIPLET_RANKING, LossVariant.PAIRWISE_RANKING):
+        pos = [bag for bag in ds.bags if bag.label == 1]
+        neg = [bag for bag in ds.bags if bag.label == 0]
+        rng.shuffle(pos)
+        for bag in pos:
+            i = rng.bounded_int(len(neg))
+            if variant is LossVariant.PAIRWISE_RANKING:
+                yield bag, neg[i]
+            else:
+                j = rng.bounded_int(len(neg) - 1)
+                if j >= i:
+                    j += 1
+                yield bag, neg[i], neg[j]
+    else:
+        order = list(range(len(ds.bags)))
+        rng.shuffle(order)
+        yield from ((ds.bags[i],) for i in order)
 
 
 def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
@@ -262,10 +211,9 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
         vec[-1],
     )
     if cfg.optimizer == "adam":
-        opt = Adam(cfg.learning_rate, vec.size, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        opt = Adam(cfg.learning_rate, vec.size)
     else:
         opt = Sgd(cfg.learning_rate)
-    sampler = TripletSampler(ds_train, rng)
     frac = cfg.topk_fraction
     rows = max(bag.n_patches for bag in ds_train.bags)
     slots = [np.empty((rows, hidden)) for _ in range(3)]
@@ -278,7 +226,7 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
 
     for epoch in range(cfg.epochs):
         losses: list[float] = []
-        units = _epoch_units(cfg.loss.variant, sampler, ds_train, rng)
+        units = _epoch_units(cfg.loss.variant, ds_train, rng)
         for unit, bags in enumerate(units):
             try:
                 caches = [
@@ -337,7 +285,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "TrainingDiverged",
-    "TripletSampler",
     "score_dataset",
     "train",
     "write_train_log",

@@ -280,14 +280,20 @@ def test_correlate_output_and_warnings(tmp_path, capsys):
     assert got[2] == "same,1.000000,0,6"
 
 
-def test_correlate_duplicate_score_row_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["eval", "correlate"])
+def test_duplicate_score_row_exit_1(tmp_path, capsys, command):
+    # Counting the repeated row twice would make eval report AP 0.6667, not 0.5.
     scores = tmp_path / "scores.csv"
-    scores.write_text("bag_id,score\na,0.9\na,0.8\nb,0.1\nc,0.2\n")
+    scores.write_text("bag_id,score,label\na,0.9,1\na,0.9,1\nb,0.1,0\nc,0.95,0\n")
     cov = tmp_path / "cov.csv"
     cov.write_text("bag_id,x\na,1.0\nb,2.0\nc,3.0\n")
-    assert main(["correlate", "--scores", str(scores), "--covariates", str(cov),
-                 "--out", str(tmp_path / "o.csv")]) == 1
-    assert "duplicate bag_id" in capsys.readouterr().err
+    argv = {
+        "eval": ["eval", "--scores", str(scores)],
+        "correlate": ["correlate", "--scores", str(scores), "--covariates", str(cov),
+                      "--out", str(tmp_path / "o.csv")],
+    }[command]
+    assert main(argv) == 1
+    assert f"error: {scores}: line 3: duplicate bag_id 'a'" in capsys.readouterr().err
 
 
 def test_synth_rerun_byte_identical(tmp_path):

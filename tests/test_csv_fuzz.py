@@ -1,16 +1,20 @@
-"""Random truncations and byte flips of a covariate table and a score
-CSV: the readers either load the file or raise FormatError, never any
-other exception."""
+"""Random truncations and byte flips of every file format the CLI reads
+(covariate table, score CSV, manifest, binary feature file, checkpoint):
+the readers either load the file or raise FormatError, never any other
+exception."""
 
+import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmil.cli import _read_score_csv
-from rankmil.data import FormatError
+from rankmil.data import FormatError, load_feature_file, load_manifest
 from rankmil.metrics import load_covariates
+from rankmil.model import load_checkpoint
 
 _COVARIATES = (
     b"bag_id,tme_t_cells_cd8,gene_00001,tme_fibroblasts\n"
@@ -25,6 +29,20 @@ _SCORES = (
     b"neg_0001,0.104400,0\n"
     b"neg_0002,0.500000,0\n"
     b"pos_0003,0.750001,1\n"
+)
+
+_MANIFEST = (
+    b"bag_id,label,path\n"
+    b"pos_0000,1,pos_0000.milf\n"
+    b'"neg_0001",0,sub/neg_0001.milf\n'
+    b"\n"
+    b"neg_0002,0,/abs/neg_0002.milf\n"
+)
+# A 3x2 feature file and a dim-2, hidden-2 checkpoint, in the byte layouts
+# documented in rankmil.data and rankmil.model.
+_FEATURES = b"MILF" + struct.pack("<II", 3, 2) + np.arange(6, dtype="<f4").tobytes()
+_CHECKPOINT = (
+    b"MILM" + struct.pack("<III", 1, 2, 2) + np.linspace(-1.0, 1.0, 9).astype("<f8").tobytes()
 )
 
 
@@ -45,9 +63,9 @@ def _apply(original: bytes, cut: int, flips) -> bytes:
     return bytes(data[:cut])
 
 
-def _loads_or_format_error(reader, data: bytes) -> None:
+def _loads_or_format_error(reader, data: bytes, name: str = "input.csv") -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "input.csv"
+        path = Path(tmp) / name
         path.write_bytes(data)
         try:
             reader(path)
@@ -65,3 +83,21 @@ def test_mutated_covariate_table_raises_only_format_error(data):
 @given(_mutations(_SCORES))
 def test_mutated_score_csv_raises_only_format_error(data):
     _loads_or_format_error(lambda path: _read_score_csv(str(path)), data)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_mutations(_MANIFEST))
+def test_mutated_manifest_raises_only_format_error(data):
+    _loads_or_format_error(load_manifest, data)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_mutations(_FEATURES))
+def test_mutated_feature_file_raises_only_format_error(data):
+    _loads_or_format_error(load_feature_file, data, "input.milf")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_mutations(_CHECKPOINT))
+def test_mutated_checkpoint_raises_only_format_error(data):
+    _loads_or_format_error(load_checkpoint, data, "input.milm")

@@ -12,7 +12,6 @@ from rankmil.data import (
     load_dataset,
     load_feature_file,
     load_manifest,
-    split_stratified,
     write_bytes_atomic,
     write_feature_file,
     write_manifest,
@@ -212,59 +211,6 @@ def test_load_dataset_empty_manifest(tmp_path):
     ds = load_dataset(manifest)
     assert len(ds) == 0
     assert ds.dim == 0
-
-
-def _toy_dataset(n_pos, n_neg):
-    bags = [_bag(f"p{i}", 1, [[float(i)]]) for i in range(n_pos)]
-    bags += [_bag(f"n{i}", 0, [[float(i)]]) for i in range(n_neg)]
-    return Dataset(tuple(bags), 1)
-
-
-def test_split_stratified_sizes():
-    ds = _toy_dataset(10, 10)
-    part_a, part_b = split_stratified(ds, 0.8, Rng(1))
-    assert (part_a.n_pos, part_a.n_neg) == (8, 8)
-    assert (part_b.n_pos, part_b.n_neg) == (2, 2)
-    ds = _toy_dataset(2, 2)
-    part_a, part_b = split_stratified(ds, 0.5, Rng(1))
-    assert (part_a.n_pos, part_a.n_neg) == (1, 1)
-    assert (part_b.n_pos, part_b.n_neg) == (1, 1)
-
-
-def test_split_stratified_partition_properties():
-    ds = _toy_dataset(7, 13)
-    part_a, part_b = split_stratified(ds, 0.6, Rng(3))
-    ids_a = {b.bag_id for b in part_a.bags}
-    ids_b = {b.bag_id for b in part_b.bags}
-    assert not ids_a & ids_b
-    assert ids_a | ids_b == {b.bag_id for b in ds.bags}
-    # Bags keep their original relative order inside each part.
-    order = {b.bag_id: i for i, b in enumerate(ds.bags)}
-    for part in (part_a, part_b):
-        indices = [order[b.bag_id] for b in part.bags]
-        assert indices == sorted(indices)
-
-
-def test_split_stratified_minimum_one_per_class():
-    ds = _toy_dataset(2, 12)
-    part_a, part_b = split_stratified(ds, 0.9, Rng(1))
-    assert part_a.n_pos == 1 and part_b.n_pos == 1
-
-
-def test_split_stratified_deterministic():
-    ds = _toy_dataset(9, 9)
-    first = split_stratified(ds, 0.8, Rng(77))
-    second = split_stratified(ds, 0.8, Rng(77))
-    assert [b.bag_id for b in first[0].bags] == [b.bag_id for b in second[0].bags]
-    assert [b.bag_id for b in first[1].bags] == [b.bag_id for b in second[1].bags]
-
-
-def test_split_stratified_rejects_bad_inputs():
-    ds = _toy_dataset(1, 5)
-    with pytest.raises(ValueError, match="2 bags per class"):
-        split_stratified(ds, 0.5, Rng(1))
-    with pytest.raises(ValueError, match="fraction"):
-        split_stratified(_toy_dataset(2, 2), 1.0, Rng(1))
 
 
 def test_write_bytes_atomic_replaces_whole_file(tmp_path):

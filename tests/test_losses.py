@@ -8,7 +8,6 @@ from rankmil.losses import (
     LossVariant,
     bag_bce_loss,
     bag_mse_loss,
-    euclidean_distance,
     pairwise_ranking_loss,
     quadruplet_loss,
     triplet_embedding_loss,
@@ -286,9 +285,3 @@ def test_embedding_gradients_match_finite_differences():
             1.0, float(np.linalg.norm(analytic))
         )
         checked += 1
-
-
-def test_euclidean_distance():
-    assert euclidean_distance([0.0, 3.0], [4.0, 0.0]) == 5.0
-    with pytest.raises(ValueError, match="equal shapes"):
-        euclidean_distance([1.0], [1.0, 2.0])

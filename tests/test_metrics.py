@@ -7,7 +7,6 @@ import pytest
 from rankmil.data import FormatError
 from rankmil.metrics import (
     CorrelateResult,
-    Correlation,
     CovariateTable,
     UndefinedCorrelationError,
     UndefinedMetricError,
@@ -253,10 +252,7 @@ def _as_columns(table):
 def _reference_correlate(scores, covariates):
     """The dict-of-dicts join ``correlate_table`` used before the columnar
     table, kept as the reference the columnar join must match bit for bit."""
-    if isinstance(scores, dict):
-        by_id = dict(scores)
-    else:
-        by_id = {item.bag_id: item.score for item in scores}
+    by_id = dict(scores)
     if not by_id:
         raise ValueError("no bag scores given")
 
@@ -384,19 +380,6 @@ def test_correlate_table_join_behaviour():
         correlate_table({}, _table({"x": {"a": 1.0}}))
 
 
-class _Scored:
-    def __init__(self, bag_id, score):
-        self.bag_id = bag_id
-        self.score = score
-
-
-def test_correlate_table_accepts_bag_score_objects():
-    items = [_Scored(f"b{i}", float(i)) for i in range(4)]
-    result = correlate_table(items, _table({"x": {f"b{i}": float(i * i) for i in range(4)}}))
-    assert result.entries[0][1].n == 4
-    assert isinstance(result.entries[0][1], Correlation)
-
-
 def test_covariate_table_checks_shape():
     with pytest.raises(ValueError, match="shape"):
         CovariateTable(("x", "y"), ("a",), np.zeros((1, 3)))
@@ -447,9 +430,6 @@ def test_correlate_table_matches_dict_of_dicts_reference_bit_for_bit(tmp_path):
         assert got.n_unmatched == 15  # the all-blank row is scored, so all 15 count
         tie = [name for name, _ in got.entries if name.startswith("tie_")]
         assert tie == ["tie_a", "tie_b", "tie_neg"]
-        items = [_Scored(b, v) for b, v in scores.items()]
-        expected_items = _reference_correlate(items, _as_columns(table))
-        assert _bits(correlate_table(items, table)) == _bits(expected_items)
 
         # The same table through the CSV loader, with an unscored all-blank row added.
         lines = ["bag_id," + ",".join(table.names)]

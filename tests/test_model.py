@@ -10,11 +10,11 @@ from rankmil.model import (
     ModelParams,
     aggregate_topk,
     backward_bag,
+    forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
     score_bag,
-    score_patches,
     sigmoid,
 )
 from rankmil.numerics import Rng
@@ -83,11 +83,15 @@ def test_init_deterministic():
     assert not np.array_equal(a.to_vector(), c.to_vector())
 
 
+def _patch_scores(params, features):
+    return forward(params, np.asarray(features, dtype=np.float64), 1.0).patch_scores
+
+
 def test_score_patches_examples():
     zero = _params([[0.0, 0.0]], [0.0], [0.0], 0.0)
-    assert score_patches(zero, np.array([[3.0, -4.0]]))[0] == 0.5
+    assert _patch_scores(zero, [[3.0, -4.0]])[0] == 0.5
     p = _params([[1.0, 0.0]], [0.0], [1.0], 0.0)
-    s = score_patches(p, np.array([[-5.0, 9.0], [2.0, 0.0]]))
+    s = _patch_scores(p, [[-5.0, 9.0], [2.0, 0.0]])
     assert s[0] == 0.5  # relu gates the input
     assert abs(s[1] - 0.8808) < 1e-4
     assert s[1] == sigmoid(np.array([2.0]))[0]
@@ -95,11 +99,9 @@ def test_score_patches_examples():
 
 def test_score_patches_validation():
     p = _params([[1.0, 0.0]], [0.0], [1.0], 0.0)
-    with pytest.raises(ValueError, match="dim"):
-        score_patches(p, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="2-d"):
-        score_patches(p, np.zeros(2))
-    scores = score_patches(p, np.array([[10.0, 0.0], [-10.0, 0.0]]))
+    with pytest.raises(ValueError, match="has dim 3, model expects 2"):
+        score_bag(p, _bag(np.zeros((2, 3))), 0.1)
+    scores = _patch_scores(p, [[10.0, 0.0], [-10.0, 0.0]])
     assert np.all((scores > 0.0) & (scores < 1.0))
 
 
@@ -141,7 +143,7 @@ def test_score_bag_one_patch_and_constant_bag():
     p = _params([[1.0, -1.0]], [0.1], [2.0], -0.5)
     single = _bag([[0.3, 0.8]])
     out = score_bag(p, single, 0.1)
-    assert out.score == score_patches(p, np.array([[0.3, 0.8]]))[0]
+    assert out.score == _patch_scores(p, [[0.3, 0.8]])[0]
     assert np.array_equal(out.topk_indices, [0])
     same = _bag([[0.3, 0.8]] * 7)
     assert score_bag(p, same, 0.5).score == out.score
@@ -184,7 +186,7 @@ def test_aggregate_monotonicity():
     # only raise the aggregate.
     target = int(out.topk_indices[0])
     grad = central_diff(
-        lambda row: float(score_patches(p, np.asarray([row]))[0]), list(features[target])
+        lambda row: float(_patch_scores(p, [row])[0]), list(features[target])
     )
     raised = features.copy()
     raised[target] += 1e-4 * np.asarray(grad) / max(1e-12, float(np.linalg.norm(grad)))

@@ -23,7 +23,7 @@ from rankmil.training import (
     Sgd,
     TrainConfig,
     TrainingDiverged,
-    TripletSampler,
+    _epoch_units,
     score_dataset,
     train,
     write_train_log,
@@ -81,40 +81,43 @@ def _toy_dataset(n_pos, n_neg):
     return Dataset(tuple(bags), 2)
 
 
+def _unit_ids(variant, ds, rng):
+    return [tuple(bag.bag_id for bag in unit) for unit in _epoch_units(variant, ds, rng)]
+
+
 def test_sampler_distinct_negatives_and_epoch_coverage():
     ds = _toy_dataset(5, 2)
-    sampler = TripletSampler(ds, Rng(9))
+    rng = Rng(9)
     seen_pairs = set()
-    for _ in range(40):
-        pos, n1, n2 = sampler.next_triplet()
-        assert pos.label == 1 and n1.label == 0 and n2.label == 0
-        assert n1.bag_id != n2.bag_id
-        seen_pairs.add((n1.bag_id, n2.bag_id))
+    for _ in range(8):
+        for pos, n1, n2 in _epoch_units(LossVariant.TRIPLET_RANKING, ds, rng):
+            assert pos.label == 1 and n1.label == 0 and n2.label == 0
+            assert n1.bag_id != n2.bag_id
+            seen_pairs.add((n1.bag_id, n2.bag_id))
     # With exactly two negatives every draw uses both, in either order.
     assert seen_pairs <= {("n0", "n1"), ("n1", "n0")}
 
-    # Positives cycle without replacement: each epoch of n_pos draws
-    # touches every positive exactly once.
-    sampler = TripletSampler(ds, Rng(10))
+    # Every epoch touches every positive exactly once.
+    rng = Rng(10)
     for _ in range(3):
-        ids = [sampler.next_triplet()[0].bag_id for _ in range(5)]
+        ids = [unit[0] for unit in _unit_ids(LossVariant.TRIPLET_RANKING, ds, rng)]
         assert sorted(ids) == [f"p{i}" for i in range(5)]
 
 
 def test_sampler_determinism_and_guards():
     ds = _toy_dataset(3, 4)
-    a = TripletSampler(ds, Rng(4))
-    b = TripletSampler(ds, Rng(4))
-    for _ in range(12):
-        ta = tuple(bag.bag_id for bag in a.next_triplet())
-        tb = tuple(bag.bag_id for bag in b.next_triplet())
-        assert ta == tb
-    with pytest.raises(ValueError, match=">= 2 negatives"):
-        TripletSampler(_toy_dataset(2, 1), Rng(1)).next_triplet()
-    with pytest.raises(ValueError, match=">= 1 negative"):
-        TripletSampler(_toy_dataset(2, 0), Rng(1)).next_pair()
-    pos, neg = TripletSampler(_toy_dataset(2, 1), Rng(1)).next_pair()
-    assert pos.label == 1 and neg.label == 0
+    a, b = Rng(4), Rng(4)
+    for _ in range(4):
+        units = _unit_ids(LossVariant.TRIPLET_RANKING, ds, a)
+        assert len(units) == 3
+        assert units == _unit_ids(LossVariant.TRIPLET_RANKING, ds, b)
+    units = list(_epoch_units(LossVariant.PAIRWISE_RANKING, _toy_dataset(2, 1), Rng(1)))
+    assert len(units) == 2
+    for pos, neg in units:
+        assert pos.label == 1 and neg.label == 0
+    # train() refuses a set that no triplet can be drawn from.
+    with pytest.raises(ValueError, match=">= 1 positive and >= 2 negative"):
+        train(_toy_dataset(2, 1), ds, _config(hidden=2))
 
 
 def test_train_deterministic():
@@ -301,20 +304,57 @@ def test_score_dataset_order_and_empty():
     assert score_dataset(report.params, Dataset((), tr.dim), 0.1) == []
 
 
+class _CursorSampler:
+    """Positives cycled without replacement by a cursor that lives across
+    epochs, reshuffled when it runs out; negatives drawn per unit. Every
+    ranking epoch takes exactly n_pos units, so this must match the
+    per-epoch generator in training draw for draw."""
+
+    def __init__(self, ds, rng):
+        self._bags = ds.bags
+        self._pos = [i for i, b in enumerate(ds.bags) if b.label == 1]
+        self._neg = [i for i, b in enumerate(ds.bags) if b.label == 0]
+        self._rng = rng
+        self._order = []
+        self._cursor = 0
+        self.n_pos = len(self._pos)
+
+    def _next_pos(self):
+        if self._cursor >= len(self._order):
+            self._order = list(self._pos)
+            self._rng.shuffle(self._order)
+            self._cursor = 0
+        idx = self._order[self._cursor]
+        self._cursor += 1
+        return self._bags[idx]
+
+    def next_triplet(self):
+        pos = self._next_pos()
+        i = self._rng.bounded_int(len(self._neg))
+        j = self._rng.bounded_int(len(self._neg) - 1)
+        if j >= i:
+            j += 1
+        return pos, self._bags[self._neg[i]], self._bags[self._neg[j]]
+
+    def next_pair(self):
+        pos = self._next_pos()
+        return pos, self._bags[self._neg[self._rng.bounded_int(len(self._neg))]]
+
+
 def _reference_train(ds_train, ds_val, cfg):
     """The training loop written out from the public per-bag functions:
     each step scores every bag of its unit, backpropagates each one
     with a fresh forward pass, and rebuilds the parameters from the
-    optimizer's vector."""
+    optimizer's vector. Units come from :class:`_CursorSampler`."""
     rng = Rng(derive(cfg.seed, 0x7472616E))  # the training stream's salt, "tran"
     dim, hidden, frac = ds_train.dim, cfg.hidden, cfg.topk_fraction
     params = init_params(dim, hidden, rng)
     vec = params.to_vector()
     if cfg.optimizer == "adam":
-        opt = Adam(cfg.learning_rate, vec.size, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        opt = Adam(cfg.learning_rate, vec.size)
     else:
         opt = Sgd(cfg.learning_rate)
-    sampler = TripletSampler(ds_train, rng)
+    sampler = _CursorSampler(ds_train, rng)
     variant = cfg.loss.variant
     history, best_auc, best_epoch, best_params = [], -math.inf, -1, params.copy()
     for epoch in range(cfg.epochs):
