@@ -13,8 +13,9 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterator
 
-from .data import FormatError, csv_reader, load_dataset, write_bytes_atomic
+from .data import Bag, FormatError, csv_reader, iter_dataset, load_dataset, write_bytes_atomic
 from .losses import LossConfig, LossVariant
 from .metrics import (
     UndefinedCorrelationError,
@@ -24,7 +25,7 @@ from .metrics import (
     load_covariates,
 )
 from .model import load_checkpoint, save_checkpoint
-from .synth import SynthConfig, generate, write_dataset
+from .synth import SynthConfig, iter_bags, write_dataset
 from .training import TrainConfig, TrainingDiverged, score_dataset, train, write_train_log
 
 _DATA_ERRORS = (
@@ -152,14 +153,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         shift=args.shift,
         seed=args.seed,
     )
-    train_ds = generate(SynthConfig(n_pos=args.pos, n_neg=args.neg, stream_id=0, **common))
-    write_dataset(train_ds, out / "train")
+    write_dataset(iter_bags(SynthConfig(n_pos=args.pos, n_neg=args.neg, stream_id=0, **common)),
+                  out / "train")
     print(f"train: {args.pos} pos + {args.neg} neg bags, dim {args.dim} -> {out / 'train'}")
     if args.val_pos > 0 or args.val_neg > 0:
-        val_ds = generate(
-            SynthConfig(n_pos=args.val_pos, n_neg=args.val_neg, stream_id=1, **common)
+        write_dataset(
+            iter_bags(SynthConfig(n_pos=args.val_pos, n_neg=args.val_neg, stream_id=1, **common)),
+            out / "val",
         )
-        write_dataset(val_ds, out / "val")
         print(
             f"val: {args.val_pos} pos + {args.val_neg} neg bags, dim {args.dim} -> {out / 'val'}"
         )
@@ -191,20 +192,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     params = load_checkpoint(args.model)
-    ds = load_dataset(args.data)
-    if len(ds.bags) and ds.dim != params.dim:
-        print(
-            f"error: data dim {ds.dim} does not match model dim {params.dim}",
-            file=sys.stderr,
-        )
-        return 1
-    labels = {bag.bag_id: bag.label for bag in ds.bags}
+    labels: list[int] = []
+
+    def bags() -> Iterator[Bag]:
+        for bag in iter_dataset(args.data):
+            if bag.dim != params.dim:
+                raise ValueError(f"data dim {bag.dim} does not match model dim {params.dim}")
+            labels.append(bag.label)
+            yield bag
+
     lines = ["bag_id,score,label"]
-    for bs in score_dataset(params, ds, args.topk):
-        lines.append(f"{bs.bag_id},{bs.score:.6f},{labels[bs.bag_id]}")
+    scored = score_dataset(params, bags(), args.topk)
+    lines += [f"{bs.bag_id},{bs.score:.6f},{y}" for bs, y in zip(scored, labels)]
     _ensure_parent(args.out)
     write_bytes_atomic(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
-    print(f"scored {len(ds.bags)} bags -> {args.out}")
+    print(f"scored {len(scored)} bags -> {args.out}")
     return 0
 
 

@@ -57,7 +57,7 @@ class Bag:
             raise ValueError(f"bag {self.bag_id!r}: features must be a 2-d float64 array")
         if f.shape[0] < 1 or f.shape[1] < 1:
             raise ValueError(f"bag {self.bag_id!r}: features must be non-empty, got {f.shape}")
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise ValueError(f"bag {self.bag_id!r}: features contain non-finite values")
 
     @property
@@ -94,6 +94,9 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.bags)
 
+    def __iter__(self) -> Iterator[Bag]:
+        return iter(self.bags)
+
     @property
     def n_pos(self) -> int:
         return sum(1 for b in self.bags if b.label == 1)
@@ -124,7 +127,7 @@ def _check_writable_features(features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
         raise ValueError(f"features must be a non-empty 2-d array, got shape {features.shape}")
-    if not np.all(np.isfinite(features)):
+    if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
     return features
 
@@ -134,10 +137,9 @@ def write_feature_file(path: str | Path, features: np.ndarray) -> None:
     float32 storage format."""
     features = _check_writable_features(features)
     k, d = features.shape
-    payload = np.ascontiguousarray(features, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(features, dtype="<f4")
     with open(path, "wb") as fh:
-        fh.write(_FEATURE_MAGIC)
-        fh.write(struct.pack("<II", k, d))
+        fh.write(_FEATURE_MAGIC + struct.pack("<II", k, d))
         fh.write(payload)
 
 
@@ -200,9 +202,9 @@ def load_feature_file(path: str | Path) -> np.ndarray:
             f"header {k}x{d} requires {expected - _HEADER_LEN}"
         )
     raw = np.frombuffer(data, dtype="<f4", offset=_HEADER_LEN)
-    bad = np.flatnonzero(~np.isfinite(raw))
-    if bad.size:
-        offset = _HEADER_LEN + 4 * int(bad[0])
+    finite = np.isfinite(raw)
+    if not finite.all():
+        offset = _HEADER_LEN + 4 * int(np.argmin(finite))
         raise FormatError(f"{path}: non-finite value at byte {offset}")
     return raw.astype(np.float64).reshape(k, d)
 
@@ -251,36 +253,50 @@ def load_manifest(path: str | Path) -> list[tuple[str, int, str]]:
 
 
 def write_manifest(path: str | Path, rows: list[tuple[str, int, str]]) -> None:
-    """Write manifest rows with LF line endings and a trailing newline."""
+    """Write manifest rows with LF line endings and a trailing newline,
+    atomically (see :func:`write_bytes_atomic`)."""
     lines = ["bag_id,label,path"]
     lines += [f"{bag_id},{label},{rel}" for bag_id, label, rel in rows]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load every bag referenced by a manifest, in manifest order."""
+def iter_dataset(manifest_path: str | Path) -> Iterator[Bag]:
+    """Yield every bag referenced by a manifest, in manifest order,
+    reading each feature file only when its bag is requested.
+
+    The manifest is parsed before the first bag is yielded. A duplicate
+    ``bag_id``, a missing file, a malformed file or a bag whose dim
+    differs from the first bag's raises when the iteration reaches it.
+    """
     manifest_path = Path(manifest_path)
     rows = load_manifest(manifest_path)
     base = manifest_path.parent
     seen: set[str] = set()
-    bags: list[Bag] = []
+    first: tuple[str, int] | None = None  # (bag_id, dim) of the first bag
     for bag_id, label, rel in rows:
         if bag_id in seen:
             raise ValueError(f"{manifest_path}: duplicate bag_id {bag_id!r}")
         seen.add(bag_id)
-        feature_path = Path(rel) if Path(rel).is_absolute() else base / rel
+        feature_path = base / rel  # an absolute rel replaces base
         if not feature_path.exists():
             raise FileNotFoundError(
                 f"{manifest_path}: bag {bag_id!r} references missing file {feature_path}"
             )
         features = load_feature_file(feature_path)
-        if bags and features.shape[1] != bags[0].dim:
+        if first is None:
+            first = (bag_id, features.shape[1])
+        elif features.shape[1] != first[1]:
             raise ValueError(
                 f"{manifest_path}: bag {bag_id!r} has dim {features.shape[1]}, "
-                f"but bag {bags[0].bag_id!r} has dim {bags[0].dim}"
+                f"but bag {first[0]!r} has dim {first[1]}"
             )
-        bags.append(Bag(bag_id, label, features))
-    return Dataset(tuple(bags), bags[0].dim if bags else 0)
+        yield Bag(bag_id, label, features)
+
+
+def load_dataset(manifest_path: str | Path) -> Dataset:
+    """Load every bag referenced by a manifest, in manifest order."""
+    bags = tuple(iter_dataset(manifest_path))
+    return Dataset(bags, bags[0].dim if bags else 0)
 
 
 __all__ = [
@@ -288,6 +304,7 @@ __all__ = [
     "Dataset",
     "FormatError",
     "csv_reader",
+    "iter_dataset",
     "load_dataset",
     "load_feature_file",
     "load_manifest",

@@ -66,11 +66,14 @@ class Rng:
         successive :meth:`next_u64` calls."""
         if n < 0:
             raise ValueError(f"block size must be >= 0, got {n}")
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + idx * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        t = np.empty_like(z)
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            z ^= np.right_shift(z, np.uint64(shift), out=t)
+            z *= np.uint64(mult)
+        z ^= np.right_shift(z, np.uint64(31), out=t)
         self._state = (self._state + n * _GAMMA) & _MASK64
         return z
 
@@ -90,13 +93,23 @@ class Rng:
         if n < 0:
             raise ValueError(f"sample count must be >= 0, got {n}")
         pairs = (n + 1) // 2
-        u = self.uniform_block(2 * pairs)
+        bits = self.u64_block(2 * pairs)
+        bits >>= np.uint64(11)
+        # Contiguous halves, so log1p, cos and sin see the same memory
+        # layout, hence the same kernels and bits, as whole arrays would.
+        r = bits[0::2].astype(np.float64)
+        theta = bits[1::2].astype(np.float64)
         # 1 - u1 is in (0, 1], so the log is finite.
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        theta = (2.0 * math.pi) * u[1::2]
+        r *= 2.0**-53
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0**-53
+        theta *= 2.0 * math.pi
         out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        np.multiply(r, np.cos(theta), out=out[0::2])
+        np.multiply(r, np.sin(theta, out=theta), out=out[1::2])
         return out[:n]
 
     def bounded_int(self, n: int) -> int:
@@ -108,8 +121,10 @@ class Rng:
 
     def shuffle(self, items: MutableSequence) -> None:
         """In-place Fisher-Yates shuffle, drawing from the top down."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.bounded_int(i + 1)
+        n = len(items)
+        # Draw d is bounded_int(n - d): all n - 1 draws in one block.
+        draws = self.u64_block(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), draws.tolist()):
             items[i], items[j] = items[j], items[i]
 
 

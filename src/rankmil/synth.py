@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -70,8 +71,9 @@ def signal_direction(seed: int, dim: int) -> np.ndarray:
             return v / norm
 
 
-def generate(cfg: SynthConfig) -> Dataset:
-    """Generate positives first, then negatives, deterministically.
+def iter_bags(cfg: SynthConfig) -> Iterator[Bag]:
+    """Generate positives first, then negatives, deterministically, one
+    bag at a time.
 
     Per bag, the draw order is: patch count, then all K*dim background
     values row-major, then (positive bags only) the witness-position
@@ -80,7 +82,6 @@ def generate(cfg: SynthConfig) -> Dataset:
     u = signal_direction(cfg.seed, cfg.dim)
     rng = Rng(derive(cfg.seed, _BAG_SALT, cfg.stream_id))
     span = cfg.patches_max - cfg.patches_min + 1
-    bags: list[Bag] = []
     for label, count, prefix in ((1, cfg.n_pos, "pos"), (0, cfg.n_neg, "neg")):
         for i in range(count):
             k = cfg.patches_min + rng.bounded_int(span)
@@ -90,17 +91,24 @@ def generate(cfg: SynthConfig) -> Dataset:
                 positions = list(range(k))
                 rng.shuffle(positions)
                 features[sorted(positions[:n_wit])] += cfg.shift * u
-            bags.append(Bag(f"{prefix}_{i:04d}", label, features))
-    return Dataset(tuple(bags), cfg.dim)
+            yield Bag(f"{prefix}_{i:04d}", label, features)
 
 
-def write_dataset(ds: Dataset, out_dir: str | Path) -> list[tuple[str, int, str]]:
-    """Write one feature file per bag plus ``manifest.csv``; returns the
-    manifest rows. Reruns with identical content are byte-identical."""
+def generate(cfg: SynthConfig) -> Dataset:
+    """All of :func:`iter_bags` in memory."""
+    return Dataset(tuple(iter_bags(cfg)), cfg.dim)
+
+
+def write_dataset(bags: Iterable[Bag], out_dir: str | Path) -> list[tuple[str, int, str]]:
+    """Write one feature file per bag, taking the bags one at a time,
+    then ``manifest.csv``; returns the manifest rows. The manifest is
+    written atomically after every feature file, so an interrupted write
+    never leaves a manifest naming a missing file. Reruns with identical
+    content are byte-identical."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[str, int, str]] = []
-    for bag in ds.bags:
+    for bag in bags:
         rel = f"{bag.bag_id}.milf"
         write_feature_file(out_dir / rel, bag.features)
         rows.append((bag.bag_id, bag.label, rel))
@@ -108,4 +116,4 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> list[tuple[str, int, str]
     return rows
 
 
-__all__ = ["SynthConfig", "generate", "signal_direction", "write_dataset"]
+__all__ = ["SynthConfig", "generate", "iter_bags", "signal_direction", "write_dataset"]

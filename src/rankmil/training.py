@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -131,13 +131,19 @@ class Adam:
         return vec - self.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
-def score_dataset(params: ModelParams, ds: Dataset, fraction: float) -> list[BagScore]:
-    """Score every bag in manifest order, reusing one hidden-layer
-    buffer across bags."""
-    if not ds.bags:
-        return []
-    buf = np.empty((max(bag.n_patches for bag in ds.bags), params.hidden))
-    return [score_bag(params, bag, fraction, buf[: bag.n_patches]) for bag in ds.bags]
+def score_dataset(params: ModelParams, bags: Iterable[Bag], fraction: float) -> list[BagScore]:
+    """Score every bag in iteration order through one hidden-layer
+    buffer. Bags already in memory (a :class:`Dataset`, a list) size it
+    to the largest bag up front; an iterator is consumed one bag at a
+    time, and the buffer grows only when a larger bag arrives."""
+    rows = 0 if isinstance(bags, Iterator) else max((b.n_patches for b in bags), default=0)
+    buf = np.empty((rows, params.hidden))
+    scores: list[BagScore] = []
+    for bag in bags:
+        if bag.n_patches > buf.shape[0]:
+            buf = np.empty((bag.n_patches, params.hidden))
+        scores.append(score_bag(params, bag, fraction, buf[: bag.n_patches]))
+    return scores
 
 
 def _val_auc(params: ModelParams, ds_val: Dataset, fraction: float) -> float:

@@ -1,10 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rankmil
 from rankmil.cli import _read_score_csv, main
-from rankmil.data import FormatError
+from rankmil.data import FormatError, load_dataset, write_feature_file, write_manifest
+from rankmil.model import init_params, load_checkpoint, save_checkpoint
+from rankmil.numerics import Rng
+from rankmil.training import score_dataset
 
 # Small enough that the whole pipeline runs in well under a second.
 _SYNTH = [
@@ -167,6 +175,84 @@ def test_score_empty_manifest(tmp_path, capsys):
     assert main(["score", "--model", str(model), "--data", str(empty), "--out", str(out)]) == 0
     assert "scored 0 bags" in capsys.readouterr().out
     assert out.read_text() == "bag_id,score,label\n"
+
+
+def _ragged_cohort(tmp_path, sizes, dim=3):
+    """A manifest of bags whose patch counts follow ``sizes``."""
+    rng = Rng(8)
+    rows = []
+    for i, n in enumerate(sizes):
+        write_feature_file(tmp_path / f"b{i}.milf", rng.gauss_block(n * dim).reshape(n, dim))
+        rows.append((f"b{i}", i % 2, f"b{i}.milf"))
+    write_manifest(tmp_path / "manifest.csv", rows)
+    model = tmp_path / "m.milm"
+    save_checkpoint(init_params(dim, 6, Rng(9)), model)
+    return tmp_path / "manifest.csv", model
+
+
+def test_score_streams_to_the_bytes_of_a_loaded_dataset(tmp_path):
+    manifest, model = _ragged_cohort(tmp_path, [5, 2, 40, 7, 40, 90, 1, 60])
+    out = tmp_path / "s.csv"
+    assert main(["score", "--model", str(model), "--data", str(manifest),
+                 "--out", str(out), "--topk", "0.2"]) == 0
+    ds = load_dataset(manifest)
+    scored = score_dataset(load_checkpoint(model), ds, 0.2)
+    want = ["bag_id,score,label"]
+    want += [f"{bs.bag_id},{bs.score:.6f},{bag.label}" for bs, bag in zip(scored, ds)]
+    assert out.read_text() == "\n".join(want) + "\n"
+
+
+def test_score_corrupt_last_bag_writes_nothing(tmp_path, capsys):
+    manifest, model = _ragged_cohort(tmp_path, [4, 6, 5])
+    (tmp_path / "b2.milf").write_bytes((tmp_path / "b2.milf").read_bytes()[:-3])
+    before = sorted(os.listdir(tmp_path))
+    out = tmp_path / "s.csv"
+    assert main(["score", "--model", str(model), "--data", str(manifest), "--out", str(out)]) == 1
+    assert "b2.milf: payload is" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+_MEMORY_SCRIPT = """
+import contextlib, io, sys
+from rankmil.cli import main
+from rankmil.model import init_params, save_checkpoint
+from rankmil.numerics import Rng
+
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+
+
+work = sys.argv[1]
+save_checkpoint(init_params(32, 128, Rng(1)), work + "/m.milm")
+base = peak_kib()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["synth", "--out", work + "/c", "--pos", "75", "--neg", "225",
+                 "--val-pos", "0", "--val-neg", "0"]) == 0
+    assert main(["score", "--model", work + "/m.milm", "--data",
+                 work + "/c/train/manifest.csv", "--out", work + "/s.csv"]) == 0
+print(peak_kib() - base)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_synth_and_score_hold_one_bag_at_a_time(tmp_path):
+    """300 bags of 300 to 600 patches at dim 32 are about 35 MB as
+    float64. Streaming holds at most two bags of features plus 8 bytes of
+    patch score per patch, so peak RSS grows by a few MB over the baseline.
+
+    The peak is VmHWM, the high-water mark of the child's own memory
+    image. ``ru_maxrss`` would not do: a child starts with the RSS of
+    the process that forked it, here the whole test session, as its
+    maximum, which hides most of the growth."""
+    src = str(Path(rankmil.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _MEMORY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    grown_mb = int(done.stdout) / 1024
+    assert grown_mb < 12.0, f"peak RSS grew by {grown_mb:.1f} MB"
 
 
 def test_eval_examples_and_curves(tmp_path, capsys):

@@ -9,6 +9,7 @@ from rankmil.data import (
     Bag,
     Dataset,
     FormatError,
+    iter_dataset,
     load_dataset,
     load_feature_file,
     load_manifest,
@@ -211,6 +212,23 @@ def test_load_dataset_empty_manifest(tmp_path):
     ds = load_dataset(manifest)
     assert len(ds) == 0
     assert ds.dim == 0
+
+
+def test_iter_dataset_reads_each_file_when_its_bag_is_reached(tmp_path):
+    manifest = _write_dataset(tmp_path, [("a", 1, [[1.0] * 3]), ("b", 0, [[2.0] * 3])])
+    (tmp_path / "b.milf").write_bytes(b"JUNK")
+    bags = iter_dataset(manifest)
+    assert next(bags).bag_id == "a"
+    with pytest.raises(FormatError, match="bad magic"):
+        next(bags)
+
+
+def test_iter_dataset_abandoned_holds_no_file(tmp_path):
+    manifest = _write_dataset(tmp_path, [("a", 1, [[1.0]]), ("b", 0, [[2.0]])])
+    bags = iter_dataset(manifest)
+    next(bags)
+    # A leaked handle would raise ResourceWarning, which the suite makes an error.
+    del bags
 
 
 def test_write_bytes_atomic_replaces_whole_file(tmp_path):

@@ -39,6 +39,30 @@ def test_sigmoid_stable_at_extremes():
     assert np.all(np.diff(s) >= 0.0)
 
 
+def _sigmoid_reference(z):
+    """The masked two-branch form the single-pass kernel replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_two_branch_reference_bits():
+    gen = np.random.default_rng(20000)
+    special = np.array([0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 36.0, -36.0])
+    for _ in range(20000):
+        n = int(gen.integers(1, 640))
+        z = gen.normal(0.0, float(gen.choice([0.1, 3.0, 40.0])), size=n)
+        picks = gen.random(n) < 0.2
+        z[picks] = gen.choice(special, size=int(picks.sum()))
+        if n > 1:  # ties
+            z[gen.integers(0, n)] = z[gen.integers(0, n)]
+        got = sigmoid(z)
+        assert np.array_equal(got.view(np.uint64), _sigmoid_reference(z).view(np.uint64)), z
+
+
 def test_params_validation_and_vector_round_trip():
     p = _params([[1.0, 2.0], [3.0, 4.0]], [0.1, 0.2], [0.5, -0.5], 0.75)
     assert p.dim == 2 and p.hidden == 2 and p.n_params == 9
@@ -133,6 +157,7 @@ def test_aggregate_topk_permutation_invariant_exactly():
     for _ in range(50):
         scores = rng.gauss_block(37)
         base, _ = aggregate_topk(scores, 0.2)
+        assert base == np.mean(-np.sort(-scores)[:8])  # ceil(0.2 * 37) = 8
         perm = list(range(37))
         rng.shuffle(perm)
         shuffled, _ = aggregate_topk(scores[perm], 0.2)

@@ -93,6 +93,30 @@ def test_gauss_golden_values():
     assert np.array_equal(got, want)
 
 
+def _gauss_block_reference(rng, n):
+    """Box-Muller as first written, one temporary per step: the in-place
+    kernel must reproduce it bit for bit."""
+    pairs = (n + 1) // 2
+    u = rng.uniform_block(2 * pairs)
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    theta = (2.0 * math.pi) * u[1::2]
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 31, 64, 9601, 14400, 19200])
+@pytest.mark.parametrize("seed", [1, 42, 2**63 - 5, 2**64 - 3])
+def test_gauss_block_matches_reference_bits(seed, n):
+    rng, ref = Rng(seed), Rng(seed)
+    got = rng.gauss_block(n)
+    want = _gauss_block_reference(ref, n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.next_u64() == ref.next_u64()
+
+
 def test_gauss_moments():
     draws = Rng(7).gauss_block(100_000)
     assert abs(float(draws.mean())) < 0.02
@@ -117,6 +141,21 @@ def test_shuffle_is_a_permutation():
     Rng(5).shuffle(once)
     Rng(5).shuffle(again)
     assert once == again
+
+
+def test_shuffle_matches_sequential_draws_for_every_length():
+    """The block of draws equals one bounded_int(i + 1) per swap, top
+    down, and leaves the stream where the per-swap draws would."""
+    for n in range(601):
+        rng, ref = Rng(n), Rng(n)
+        got = list(range(n))
+        want = list(range(n))
+        rng.shuffle(got)
+        for i in range(n - 1, 0, -1):
+            j = ref.bounded_int(i + 1)
+            want[i], want[j] = want[j], want[i]
+        assert got == want
+        assert rng.next_u64() == ref.next_u64()
 
 
 @pytest.mark.parametrize(

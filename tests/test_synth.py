@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from rankmil.data import load_dataset
 from rankmil.metrics import auc
 from rankmil.model import aggregate_topk, sigmoid
 from rankmil.numerics import ceil_frac
-from rankmil.synth import SynthConfig, generate, signal_direction, write_dataset
+from rankmil.synth import SynthConfig, generate, iter_bags, signal_direction, write_dataset
 
 
 def _small(**overrides):
@@ -133,3 +135,22 @@ def test_write_dataset_rerun_byte_identical(tmp_path):
     write_dataset(generate(_small()), second)
     for path in sorted(first.iterdir()):
         assert (second / path.name).read_bytes() == path.read_bytes()
+
+
+def test_iter_bags_is_lazy():
+    bags = iter_bags(_small(n_pos=1, n_neg=10**9))
+    assert next(bags).bag_id == "pos_0000"
+    assert next(bags).bag_id == "neg_0000"
+
+
+def test_failed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
+    def fail_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail_replace)
+    with pytest.raises(OSError, match="No space"):
+        write_dataset(iter_bags(_small()), tmp_path)
+    names = os.listdir(tmp_path)
+    assert "manifest.csv" not in names
+    assert all(name.endswith(".milf") for name in names)
+    assert len(names) == _small().n_pos + _small().n_neg

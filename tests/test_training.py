@@ -304,6 +304,25 @@ def test_score_dataset_order_and_empty():
     assert score_dataset(report.params, Dataset((), tr.dim), 0.1) == []
 
 
+def test_score_dataset_streams_with_a_growing_buffer():
+    """Bag sizes that rise and fall make the streamed buffer grow twice;
+    the scores are those of the pre-sized buffer, bit for bit."""
+    params = init_params(5, 7, Rng(3))
+    rng = Rng(4)
+    bags = [
+        Bag(f"b{i}", i % 2, rng.gauss_block(n * 5).reshape(n, 5))
+        for i, n in enumerate([4, 2, 9, 1, 9, 30, 3])
+    ]
+    streamed = score_dataset(params, iter(bags), 0.3)
+    sized = score_dataset(params, Dataset(tuple(bags), 5), 0.3)
+    assert [bs.bag_id for bs in streamed] == [bag.bag_id for bag in bags]
+    for a, b in zip(streamed, sized):
+        assert a.score == b.score
+        assert np.array_equal(a.patch_scores, b.patch_scores)
+        assert np.array_equal(a.topk_indices, b.topk_indices)
+    assert score_dataset(params, iter(()), 0.3) == []
+
+
 class _CursorSampler:
     """Positives cycled without replacement by a cursor that lives across
     epochs, reshuffled when it runs out; negatives drawn per unit. Every
