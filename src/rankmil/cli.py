@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
-from .data import Bag, FormatError, csv_reader, iter_dataset, load_dataset, write_bytes_atomic
+from .data import Bag, FormatError, csv_reader, iter_dataset, load_dataset, write_csv_atomic
 from .losses import LossConfig, LossVariant
 from .metrics import (
     UndefinedCorrelationError,
@@ -201,11 +201,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
             labels.append(bag.label)
             yield bag
 
-    lines = ["bag_id,score,label"]
     scored = score_dataset(params, bags(), args.topk)
-    lines += [f"{bs.bag_id},{bs.score:.6f},{y}" for bs, y in zip(scored, labels)]
+    rows = [(bs.bag_id, f"{bs.score:.6f}", y) for bs, y in zip(scored, labels)]
     _ensure_parent(args.out)
-    write_bytes_atomic(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_csv_atomic(args.out, [("bag_id", "score", "label"), *rows])
     print(f"scored {len(scored)} bags -> {args.out}")
     return 0
 
@@ -257,10 +256,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.curves:
         curves = Path(args.curves)
         curves.mkdir(parents=True, exist_ok=True)
-        roc_lines = ["fpr,tpr"] + [f"{f:.6f},{t:.6f}" for f, t in report.roc]
-        pr_lines = ["recall,precision"] + [f"{r:.6f},{p:.6f}" for r, p in report.pr]
-        write_bytes_atomic(curves / "roc.csv", ("\n".join(roc_lines) + "\n").encode("utf-8"))
-        write_bytes_atomic(curves / "pr.csv", ("\n".join(pr_lines) + "\n").encode("utf-8"))
+        write_csv_atomic(
+            curves / "roc.csv",
+            [("fpr", "tpr"), *((f"{f:.6f}", f"{t:.6f}") for f, t in report.roc)],
+        )
+        write_csv_atomic(
+            curves / "pr.csv",
+            [("recall", "precision"), *((f"{r:.6f}", f"{p:.6f}") for r, p in report.pr)],
+        )
         print(f"curves -> {curves / 'roc.csv'}, {curves / 'pr.csv'}")
     print(f"AUC {report.auc:.4f} AP {report.average_precision:.4f}")
     return 0
@@ -274,12 +277,9 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         print(f"warning: dropped {result.n_unmatched} covariate rows with no score", file=sys.stderr)
     for name, reason in result.skipped:
         print(f"warning: skipped column {name!r}: {reason}", file=sys.stderr)
-    lines = ["name,rho,p_value,n"]
-    lines += [
-        f"{name},{c.rho:.6f},{c.p_value:.6g},{c.n}" for name, c in result.entries
-    ]
+    rows = [(name, f"{c.rho:.6f}", f"{c.p_value:.6g}", c.n) for name, c in result.entries]
     _ensure_parent(args.out)
-    write_bytes_atomic(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_csv_atomic(args.out, [("name", "rho", "p_value", "n"), *rows])
     print(f"correlations for {len(result.entries)} columns -> {args.out}")
     return 0
 

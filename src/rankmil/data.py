@@ -5,8 +5,11 @@ with a single binary label. Three file formats live here:
 
 feature file (binary)
     magic ``MILF`` | patch count K: u32 LE | feature dim D: u32 LE |
-    K*D float32 LE, row-major. Values are widened to float64 on load;
-    writing narrows back, so load -> write round-trips byte-identically.
+    K*D float32 LE, row-major. :func:`iter_dataset` and
+    :func:`load_dataset` keep a bag's values as the file's float32, half
+    the memory of float64; :func:`load_feature_file` widens them to
+    float64. Both are exact, and writing narrows back, so load -> write
+    round-trips byte-identically.
 
 feature file (text)
     a path ending in ``.csv`` is parsed as K rows of D comma-separated
@@ -20,6 +23,7 @@ manifest
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import secrets
@@ -27,12 +31,13 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 _FEATURE_MAGIC = b"MILF"
 _HEADER_LEN = 12  # magic + K + D
+_FEATURE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 
 class FormatError(ValueError):
@@ -41,7 +46,8 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class Bag:
-    """One labelled bag: ``features`` has shape (patches, dim)."""
+    """One labelled bag: ``features`` has shape (patches, dim), float64,
+    or float32 as read from a binary feature file."""
 
     bag_id: str
     label: int
@@ -53,8 +59,10 @@ class Bag:
         if self.label not in (0, 1):
             raise ValueError(f"bag {self.bag_id!r}: label must be 0 or 1, got {self.label}")
         f = self.features
-        if not isinstance(f, np.ndarray) or f.ndim != 2 or f.dtype != np.float64:
-            raise ValueError(f"bag {self.bag_id!r}: features must be a 2-d float64 array")
+        if not isinstance(f, np.ndarray) or f.ndim != 2 or f.dtype not in _FEATURE_DTYPES:
+            raise ValueError(
+                f"bag {self.bag_id!r}: features must be a 2-d float64 or float32 array"
+            )
         if f.shape[0] < 1 or f.shape[1] < 1:
             raise ValueError(f"bag {self.bag_id!r}: features must be non-empty, got {f.shape}")
         if not np.isfinite(f).all():
@@ -179,7 +187,13 @@ def _load_feature_csv(path: Path) -> np.ndarray:
 def load_feature_file(path: str | Path) -> np.ndarray:
     """Load one feature file (binary, or CSV when the name ends in
     ``.csv``) as a (patches, dim) float64 array."""
-    path = Path(path)
+    return _read_features(Path(path)).astype(np.float64, copy=False)
+
+
+def _read_features(path: Path) -> np.ndarray:
+    """One feature file at its stored precision: a CSV as float64, a
+    binary file as float32 (on a little-endian host, a read-only view of
+    the file's bytes)."""
     if path.name.endswith(".csv"):
         return _load_feature_csv(path)
 
@@ -206,7 +220,7 @@ def load_feature_file(path: str | Path) -> np.ndarray:
     if not finite.all():
         offset = _HEADER_LEN + 4 * int(np.argmin(finite))
         raise FormatError(f"{path}: non-finite value at byte {offset}")
-    return raw.astype(np.float64).reshape(k, d)
+    return raw.reshape(k, d).astype(np.float32, copy=False)
 
 
 @contextmanager
@@ -252,17 +266,26 @@ def load_manifest(path: str | Path) -> list[tuple[str, int, str]]:
     return rows
 
 
+def write_csv_atomic(path: str | Path, rows: Iterable[Sequence[object]]) -> None:
+    """Write CSV rows, header first, as UTF-8 with LF line endings,
+    atomically (see :func:`write_bytes_atomic`). A field that holds a
+    comma, a double quote or a line feed is quoted, so
+    :func:`csv_reader` gives the same fields back."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    write_bytes_atomic(path, buf.getvalue().encode("utf-8"))
+
+
 def write_manifest(path: str | Path, rows: list[tuple[str, int, str]]) -> None:
     """Write manifest rows with LF line endings and a trailing newline,
-    atomically (see :func:`write_bytes_atomic`)."""
-    lines = ["bag_id,label,path"]
-    lines += [f"{bag_id},{label},{rel}" for bag_id, label, rel in rows]
-    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    atomically (see :func:`write_csv_atomic`)."""
+    write_csv_atomic(path, [("bag_id", "label", "path"), *rows])
 
 
 def iter_dataset(manifest_path: str | Path) -> Iterator[Bag]:
     """Yield every bag referenced by a manifest, in manifest order,
-    reading each feature file only when its bag is requested.
+    reading each feature file only when its bag is requested. A binary
+    file's bag keeps its float32 values (see the module docstring).
 
     The manifest is parsed before the first bag is yielded. A duplicate
     ``bag_id``, a missing file, a malformed file or a bag whose dim
@@ -282,7 +305,7 @@ def iter_dataset(manifest_path: str | Path) -> Iterator[Bag]:
             raise FileNotFoundError(
                 f"{manifest_path}: bag {bag_id!r} references missing file {feature_path}"
             )
-        features = load_feature_file(feature_path)
+        features = _read_features(feature_path)
         if first is None:
             first = (bag_id, features.shape[1])
         elif features.shape[1] != first[1]:
@@ -309,6 +332,7 @@ __all__ = [
     "load_feature_file",
     "load_manifest",
     "write_bytes_atomic",
+    "write_csv_atomic",
     "write_feature_file",
     "write_manifest",
 ]

@@ -162,8 +162,9 @@ def aggregate_topk(patch_scores: np.ndarray, fraction: float) -> tuple[float, np
 class ForwardCache:
     """What :func:`backward` needs from one bag's forward pass.
 
-    ``hidden`` is the relu activation, a view of the caller's buffer:
-    it is valid until that buffer is written again.
+    ``features`` is the float64 input of the first layer. ``hidden`` is
+    the relu activation, a view of the caller's buffer: it is valid
+    until that buffer is written again.
     """
 
     features: np.ndarray
@@ -176,14 +177,20 @@ class ForwardCache:
 def forward(
     params: ModelParams, features: np.ndarray, fraction: float, out: np.ndarray | None = None
 ) -> ForwardCache:
-    """Score one bag's (patches, dim) float64 features and keep the
-    activations for :func:`backward`.
+    """Score one bag's (patches, dim) features and keep the activations
+    for :func:`backward`.
+
+    float32 features, as loaded from a binary feature file, are widened
+    to float64 first. The widening is exact, so the model sees the same
+    values and gives the same bits as for float64 features; the cache
+    keeps the widened copy, so :func:`backward` runs in float64 too.
 
     The hidden layer is written into ``out``, a C-contiguous float64
     array of shape (patches, hidden); pass a slice of a buffer reused
     across calls to avoid allocating one per bag. With ``out=None`` a
     fresh one is allocated.
     """
+    features = features.astype(np.float64, copy=False)
     if out is None:
         out = np.empty((features.shape[0], params.hidden))
     np.matmul(features, params.w1.T, out=out)

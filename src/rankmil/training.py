@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .data import Bag, Dataset, write_bytes_atomic
+from .data import Bag, Dataset, write_csv_atomic
 from .losses import (
     LossConfig,
     LossOutput,
@@ -109,26 +109,45 @@ class Sgd:
     def __init__(self, learning_rate: float) -> None:
         self.learning_rate = learning_rate
 
-    def step(self, vec: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return vec - self.learning_rate * grad
+    def step(self, vec: np.ndarray, grad: np.ndarray) -> None:
+        """Update ``vec`` in place."""
+        vec -= self.learning_rate * grad
 
 
 class Adam:
-    """Adam with bias correction, beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with bias correction, beta1=0.9, beta2=0.999, eps=1e-8.
+
+    :meth:`step` updates the moments and ``vec`` in place through two
+    scratch vectors, keeping the operand order of
+    ``vec - lr * m_hat / (sqrt(v_hat) + eps)`` so every bit matches.
+    """
 
     def __init__(self, learning_rate: float, size: int) -> None:
         self.learning_rate = learning_rate
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._a = np.empty(size)
+        self._b = np.empty(size)
 
-    def step(self, vec: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, vec: np.ndarray, grad: np.ndarray) -> None:
+        """Update ``vec`` in place."""
         self.t += 1
-        self.m = _ADAM_BETA1 * self.m + (1.0 - _ADAM_BETA1) * grad
-        self.v = _ADAM_BETA2 * self.v + (1.0 - _ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1.0 - _ADAM_BETA1**self.t)
-        v_hat = self.v / (1.0 - _ADAM_BETA2**self.t)
-        return vec - self.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        a, b = self._a, self._b
+        self.m *= _ADAM_BETA1
+        np.multiply(1.0 - _ADAM_BETA1, grad, out=a)
+        self.m += a
+        self.v *= _ADAM_BETA2
+        np.multiply(1.0 - _ADAM_BETA2, grad, out=a)
+        a *= grad
+        self.v += a
+        np.divide(self.m, 1.0 - _ADAM_BETA1**self.t, out=a)  # m_hat
+        a *= self.learning_rate
+        np.divide(self.v, 1.0 - _ADAM_BETA2**self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += _ADAM_EPS
+        a /= b
+        vec -= a
 
 
 def score_dataset(params: ModelParams, bags: Iterable[Bag], fraction: float) -> list[BagScore]:
@@ -251,7 +270,7 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
                     f"epoch {epoch}, unit {unit}: non-finite loss {loss.value}"
                 )
             losses.append(loss.value)
-            vec[:] = opt.step(vec, grad)
+            opt.step(vec, grad)
             if not np.isfinite(vec).all():
                 raise TrainingDiverged(f"epoch {epoch}, unit {unit}: non-finite parameters")
             params.b2 = float(vec[-1])
@@ -277,11 +296,8 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
 def write_train_log(report: TrainReport, path: str | Path) -> None:
     """Line-delimited history: ``epoch,loss,val_auc`` (CSV, six decimal
     places), one row per completed epoch."""
-    lines = ["epoch,loss,val_auc"]
-    lines += [
-        f"{i},{st.loss_mean:.6f},{st.val_auc:.6f}" for i, st in enumerate(report.epochs)
-    ]
-    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    rows = [(i, f"{st.loss_mean:.6f}", f"{st.val_auc:.6f}") for i, st in enumerate(report.epochs)]
+    write_csv_atomic(path, [("epoch", "loss", "val_auc"), *rows])
 
 
 __all__ = [

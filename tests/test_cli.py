@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -9,7 +10,13 @@ import pytest
 
 import rankmil
 from rankmil.cli import _read_score_csv, main
-from rankmil.data import FormatError, load_dataset, write_feature_file, write_manifest
+from rankmil.data import (
+    FormatError,
+    load_dataset,
+    load_manifest,
+    write_feature_file,
+    write_manifest,
+)
 from rankmil.model import init_params, load_checkpoint, save_checkpoint
 from rankmil.numerics import Rng
 from rankmil.training import score_dataset
@@ -212,11 +219,9 @@ def test_score_corrupt_last_bag_writes_nothing(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == before
 
 
-_MEMORY_SCRIPT = """
+_PEAK_KIB = """
 import contextlib, io, sys
 from rankmil.cli import main
-from rankmil.model import init_params, save_checkpoint
-from rankmil.numerics import Rng
 
 
 def peak_kib():
@@ -225,6 +230,12 @@ def peak_kib():
 
 
 work = sys.argv[1]
+"""
+
+_MEMORY_SCRIPT = _PEAK_KIB + """
+from rankmil.model import init_params, save_checkpoint
+from rankmil.numerics import Rng
+
 save_checkpoint(init_params(32, 128, Rng(1)), work + "/m.milm")
 base = peak_kib()
 with contextlib.redirect_stdout(io.StringIO()):
@@ -234,6 +245,16 @@ with contextlib.redirect_stdout(io.StringIO()):
                  work + "/c/train/manifest.csv", "--out", work + "/s.csv"]) == 0
 print(peak_kib() - base)
 """
+
+
+def _run_memory_script(script, tmp_path):
+    """Run ``script`` in a fresh interpreter with one BLAS thread and
+    return its stdout."""
+    src = str(Path(rankmil.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
@@ -246,13 +267,38 @@ def test_synth_and_score_hold_one_bag_at_a_time(tmp_path):
     image. ``ru_maxrss`` would not do: a child starts with the RSS of
     the process that forked it, here the whole test session, as its
     maximum, which hides most of the growth."""
-    src = str(Path(rankmil.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", _MEMORY_SCRIPT, str(tmp_path)], env=env,
-                          capture_output=True, text=True, check=True)
-    grown_mb = int(done.stdout) / 1024
+    grown_mb = int(_run_memory_script(_MEMORY_SCRIPT, tmp_path)) / 1024
     assert grown_mb < 12.0, f"peak RSS grew by {grown_mb:.1f} MB"
+
+
+_TRAIN_MEMORY_SCRIPT = _PEAK_KIB + """
+from rankmil.data import load_dataset
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["synth", "--out", work + "/c", "--pos", "50", "--neg", "150",
+                 "--val-pos", "10", "--val-neg", "30"]) == 0
+    base = peak_kib()
+    assert main(["train", "--train", work + "/c/train/manifest.csv", "--val",
+                 work + "/c/val/manifest.csv", "--out", work + "/m.milm", "--epochs", "1"]) == 0
+grown = peak_kib() - base
+values = sum(bag.n_patches * bag.dim for part in ("train", "val")
+             for bag in load_dataset(work + "/c/" + part + "/manifest.csv"))
+print(grown, values)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_train_holds_loaded_bags_at_float32(tmp_path):
+    """``train`` holds its training and validation sets in memory: here
+    240 bags of 300 to 600 patches at dim 32, about 3.5 million values,
+    13 MB at the 4 bytes of the file's float32 and 26 MB as float64.
+    Buffers, the model and the optimizer add about 4 MB, so a growth of
+    VmHWM (see test_synth_and_score_hold_one_bag_at_a_time) under 22 MB
+    holds only if loaded bags stay float32."""
+    grown_kib, values = map(int, _run_memory_script(_TRAIN_MEMORY_SCRIPT, tmp_path).split())
+    assert 8 * values / 2**20 > 22.0 > 4 * values / 2**20 + 4.0
+    grown_mb = grown_kib / 1024
+    assert grown_mb < 22.0, f"peak RSS grew by {grown_mb:.1f} MB"
 
 
 def test_eval_examples_and_curves(tmp_path, capsys):
@@ -364,6 +410,50 @@ def test_correlate_output_and_warnings(tmp_path, capsys):
     assert got[0] == "name,rho,p_value,n"
     assert got[1] == "anti,-1.000000,0,6"
     assert got[2] == "same,1.000000,0,6"
+
+
+def test_commas_and_quotes_in_ids_and_names_survive_the_pipeline(tmp_path, capsys):
+    """A bag_id or covariate name holding a comma or a double quote is
+    quoted by every CSV writer, so score, eval and correlate read back
+    the fields that were written."""
+    ids = ["x,1", 'say "hi"', "plain", 'a,"b"']
+    rng = Rng(8)
+    for i in range(len(ids)):
+        write_feature_file(tmp_path / f"b{i}.milf", rng.gauss_block(5 * 3).reshape(5, 3))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        'bag_id,label,path\n"x,1",1,b0.milf\n"say ""hi""",1,b1.milf\n'
+        'plain,0,b2.milf\n"a,""b""",0,b3.milf\n'
+    )
+    assert [row[0] for row in load_manifest(manifest)] == ids
+    rewritten = tmp_path / "rewritten.csv"
+    write_manifest(rewritten, load_manifest(manifest))
+    assert load_manifest(rewritten) == load_manifest(manifest)
+
+    model = tmp_path / "m.milm"
+    save_checkpoint(init_params(3, 4, Rng(2)), model)
+    scores = tmp_path / "scores.csv"
+    assert main(["score", "--model", str(model), "--data", str(manifest),
+                 "--out", str(scores)]) == 0
+    read_ids, _, labels = _read_score_csv(str(scores))
+    assert read_ids == ids
+    assert labels == [1, 1, 0, 0]
+    assert main(["eval", "--scores", str(scores)]) == 0
+    assert "AUC" in capsys.readouterr().out
+
+    cov = tmp_path / "cov.csv"
+    cov.write_text(
+        'bag_id,"cd8, activated","t""fh"\n"x,1",1.0,4.0\n"say ""hi""",2.0,3.0\n'
+        'plain,3.0,1.0\n"a,""b""",5.0,2.0\n'
+    )
+    out = tmp_path / "corr.csv"
+    assert main(["correlate", "--scores", str(scores), "--covariates", str(cov),
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["name", "rho", "p_value", "n"]
+    assert [row[0] for row in rows[1:]] == ["cd8, activated", 't"fh']
+    assert all(len(row) == 4 and row[3] == "4" for row in rows[1:])
 
 
 @pytest.mark.parametrize("command", ["eval", "correlate"])

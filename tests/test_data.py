@@ -38,6 +38,15 @@ def test_bag_validation():
         _bag("a", 0, [[np.nan]])
 
 
+def test_bag_feature_dtypes():
+    rows = [[1.5, -2.0]]
+    for dtype in (np.float64, np.float32):
+        assert Bag("a", 0, np.asarray(rows, dtype=dtype)).features.dtype == dtype
+    for dtype in (np.float16, np.int64):
+        with pytest.raises(ValueError, match="2-d float64"):
+            Bag("a", 0, np.asarray(rows, dtype=dtype))
+
+
 def test_dataset_validation():
     ds = Dataset((_bag("a", 1, [[0.0]]), _bag("b", 0, [[1.0]])), 1)
     assert len(ds) == 2
@@ -188,6 +197,21 @@ def test_load_dataset(tmp_path):
     assert ds.dim == 8
     assert [b.bag_id for b in ds.bags] == ["a", "b"]
     assert ds.bags[1].n_patches == 2
+
+
+def test_load_dataset_keeps_float32_file_values(tmp_path):
+    """A binary file's bag holds the stored float32 values, which widen
+    to exactly what load_feature_file returns; a CSV file's stays float64."""
+    features = Rng(6).gauss_block(12).reshape(4, 3)
+    write_feature_file(tmp_path / "a.milf", features)
+    np.savetxt(tmp_path / "b.csv", features, delimiter=",", fmt="%.17g")
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(manifest, [("a", 1, "a.milf"), ("b", 0, "b.csv")])
+    a, b = load_dataset(manifest)
+    assert a.features.dtype == np.float32
+    assert np.array_equal(a.features.astype(np.float64), load_feature_file(tmp_path / "a.milf"))
+    assert b.features.dtype == np.float64
+    assert np.array_equal(b.features, features)
 
 
 def test_load_dataset_dimension_mismatch_names_both_bags(tmp_path):

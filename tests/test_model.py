@@ -9,6 +9,7 @@ from rankmil.model import (
     BagScore,
     ModelParams,
     aggregate_topk,
+    backward,
     backward_bag,
     forward,
     init_params,
@@ -290,6 +291,20 @@ def test_forward_divergence_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(FloatingPointError, match="diverged"):
             score_bag(p, bag, 1.0)
+
+
+def test_forward_widens_float32_features_exactly():
+    """float32 features reach the first layer and the backward pass as
+    their exact float64 widening, so both give the float64 bits."""
+    p = init_params(6, 5, Rng(3))
+    narrow = Rng(4).gauss_block(11 * 6).reshape(11, 6).astype(np.float32)
+    wide = narrow.astype(np.float64)
+    a, b = forward(p, narrow, 0.3), forward(p, wide, 0.3)
+    assert a.features.dtype == np.float64
+    assert a.features.tobytes() == wide.tobytes()
+    assert a.patch_scores.tobytes() == b.patch_scores.tobytes()
+    assert a.score.hex() == b.score.hex()
+    assert backward(p, a, 0.7).tobytes() == backward(p, b, 0.7).tobytes()
 
 
 def test_checkpoint_round_trip(tmp_path):

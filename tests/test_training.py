@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankmil.cli import main
-from rankmil.data import Bag, Dataset
+from rankmil.data import Bag, Dataset, load_dataset
 from rankmil.losses import (
     LossConfig,
     LossVariant,
@@ -220,7 +220,7 @@ def test_training_divergence_raises():
 
 
 def _always_inf(self, vec, grad):
-    return np.full_like(vec, math.inf)
+    vec[:] = math.inf
 
 
 def test_non_finite_parameters_raise_training_diverged(monkeypatch, tmp_path, capsys):
@@ -404,7 +404,7 @@ def _reference_train(ds_train, ds_val, cfg):
             for bag, upstream in zip(bags[1:], loss.grads[1:]):
                 grad = grad + backward_bag(params, bag, frac, upstream)
             losses.append(loss.value)
-            vec = opt.step(vec, grad)
+            opt.step(vec, grad)
             params = ModelParams.from_vector(vec, dim, hidden)
         val_scores = [score_bag(params, bag, frac).score for bag in ds_val.bags]
         val_auc = auc(val_scores, [bag.label for bag in ds_val.bags])
@@ -434,10 +434,103 @@ def test_train_matches_per_bag_reference_bit_for_bit(variant, optimizer):
     )
     report = train(tr, va, cfg)
     history, best_epoch, best_params = _reference_train(tr, va, cfg)
-
-    def bits(stats):
-        return [(st.loss_mean.hex(), st.val_auc.hex()) for st in stats]
-
-    assert bits(report.epochs) == bits(history)
+    assert _bits(report.epochs) == _bits(history)
     assert report.best_epoch == best_epoch
     assert report.params.to_vector().tobytes() == best_params.to_vector().tobytes()
+
+
+def _bits(stats):
+    return [(st.loss_mean.hex(), st.val_auc.hex()) for st in stats]
+
+
+def _float32_and_float64(ds, tmp_path, name):
+    """``ds`` written and loaded back, so its bags hold float32 features,
+    and the same values widened into float64 bags."""
+    write_dataset(ds, tmp_path / name)
+    loaded = load_dataset(tmp_path / name / "manifest.csv")
+    assert all(bag.features.dtype == np.float32 for bag in loaded)
+    widened = Dataset(
+        tuple(Bag(b.bag_id, b.label, b.features.astype(np.float64)) for b in loaded), loaded.dim
+    )
+    return loaded, widened
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize(
+    "variant",
+    [
+        LossVariant.TRIPLET_RANKING,
+        LossVariant.PAIRWISE_RANKING,
+        LossVariant.CROSS_ENTROPY,
+        LossVariant.MSE,
+    ],
+)
+def test_float32_bags_train_like_their_float64_values(tmp_path, variant, optimizer):
+    tr, va = _datasets(patches=(8, 40))
+    tr32, tr64 = _float32_and_float64(tr, tmp_path, "train")
+    va32, va64 = _float32_and_float64(va, tmp_path, "val")
+    cfg = _config(
+        loss=_loss(variant), epochs=3, patience=10, learning_rate=5e-3,
+        optimizer=optimizer, topk_fraction=0.2,
+    )
+    narrow = train(tr32, va32, cfg)
+    wide = train(tr64, va64, cfg)
+    assert _bits(narrow.epochs) == _bits(wide.epochs)
+    assert narrow.best_epoch == wide.best_epoch
+    assert narrow.params.to_vector().tobytes() == wide.params.to_vector().tobytes()
+
+
+def test_float32_bags_score_like_their_float64_values(tmp_path):
+    tr, va = _datasets(patches=(8, 40))
+    params = train(tr, va, _config(epochs=2)).params
+    va32, va64 = _float32_and_float64(va, tmp_path, "val")
+    for narrow, wide in zip(score_dataset(params, va32, 0.2), score_dataset(params, va64, 0.2)):
+        assert narrow.bag_id == wide.bag_id
+        assert narrow.score.hex() == wide.score.hex()
+        assert narrow.patch_scores.tobytes() == wide.patch_scores.tobytes()
+        assert np.array_equal(narrow.topk_indices, wide.topk_indices)
+
+
+class _ReturningAdam:
+    """Adam's arithmetic as a step that returns a new vector, the form
+    the optimizer had before its steps were made in place."""
+
+    def __init__(self, learning_rate, size):
+        self.learning_rate = learning_rate
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+
+    def step(self, vec, grad):
+        self.t += 1
+        self.m = 0.9 * self.m + (1.0 - 0.9) * grad
+        self.v = 0.999 * self.v + (1.0 - 0.999) * grad * grad
+        m_hat = self.m / (1.0 - 0.9**self.t)
+        v_hat = self.v / (1.0 - 0.999**self.t)
+        return vec - self.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def test_in_place_optimizer_steps_match_returning_arithmetic_bit_for_bit():
+    """600 steps of gradients spanning 1e-9 to 1e3 in magnitude, of both
+    signs, with whole zero steps and a coordinate that is always zero."""
+    size = 50
+    gen = np.random.default_rng(11)
+    grads = gen.standard_normal((600, size)) * 10.0 ** gen.uniform(-9, 3, (600, size))
+    grads[::7] = 0.0
+    grads[:, 3] = 0.0
+    assert (grads < 0).any() and (grads > 0).any()
+    start = gen.standard_normal(size)
+
+    adam, ref_adam = Adam(1e-3, size), _ReturningAdam(1e-3, size)
+    sgd = Sgd(1e-2)
+    vec_adam, ref_vec_adam = start.copy(), start.copy()
+    vec_sgd, ref_vec_sgd = start.copy(), start.copy()
+    for grad in grads:
+        assert adam.step(vec_adam, grad) is None
+        ref_vec_adam = ref_adam.step(ref_vec_adam, grad)
+        assert vec_adam.tobytes() == ref_vec_adam.tobytes()
+        sgd.step(vec_sgd, grad)
+        ref_vec_sgd = ref_vec_sgd - 1e-2 * grad
+        assert vec_sgd.tobytes() == ref_vec_sgd.tobytes()
+    assert adam.m.tobytes() == ref_adam.m.tobytes()
+    assert adam.v.tobytes() == ref_adam.v.tobytes()
