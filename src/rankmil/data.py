@@ -23,7 +23,6 @@ manifest
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import secrets
@@ -31,6 +30,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -269,11 +269,13 @@ def load_manifest(path: str | Path) -> list[tuple[str, int, str]]:
 def write_csv_atomic(path: str | Path, rows: Iterable[Sequence[object]]) -> None:
     """Write CSV rows, header first, as UTF-8 with LF line endings,
     atomically (see :func:`write_bytes_atomic`). A field that holds a
-    comma, a double quote or a line feed is quoted, so
-    :func:`csv_reader` gives the same fields back."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    write_bytes_atomic(path, buf.getvalue().encode("utf-8"))
+    comma, a double quote, a line feed or a carriage return is quoted,
+    so :func:`csv_reader` gives the same fields back."""
+    lines: list[str] = []
+    # csv.writer quotes a field holding a character of its line terminator:
+    # "\r\n" makes it quote a bare "\r" too, and each line is cut to "\n".
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    write_bytes_atomic(path, "".join(line[:-2] + "\n" for line in lines).encode("utf-8"))
 
 
 def write_manifest(path: str | Path, rows: list[tuple[str, int, str]]) -> None:

@@ -9,9 +9,11 @@ locally stable.
 
 :func:`forward` writes a bag's hidden layer into a caller-supplied
 (patches, hidden) buffer, so a training loop or a scoring pass reuses
-one allocation across bags, and returns a :class:`ForwardCache` of the
-activations and the top-k selection. :func:`backward` takes that cache
-and computes the parameter gradient without a second forward pass.
+one allocation across bags, and returns a :class:`ForwardCache` with
+copies of the top-k rows of the features and the hidden layer, the only
+rows the gradient reads, so the buffer is free again once it returns.
+:func:`backward` takes that cache and computes the parameter gradient
+without a second forward pass.
 :func:`score_bag` and :func:`backward_bag` wrap the two for one bag.
 
 Checkpoint format: magic ``MILM`` | version: u32 LE | dim: u32 |
@@ -162,9 +164,10 @@ def aggregate_topk(patch_scores: np.ndarray, fraction: float) -> tuple[float, np
 class ForwardCache:
     """What :func:`backward` needs from one bag's forward pass.
 
-    ``features`` is the float64 input of the first layer. ``hidden`` is
-    the relu activation, a view of the caller's buffer: it is valid
-    until that buffer is written again.
+    ``features`` and ``hidden`` are the (m, dim) float64 input of the
+    first layer and the (m, hidden) relu activation at the m rows of
+    ``topk``, in its ascending order: copies, so the caller's buffer
+    may be written again.
     """
 
     features: np.ndarray
@@ -183,7 +186,7 @@ def forward(
     float32 features, as loaded from a binary feature file, are widened
     to float64 first. The widening is exact, so the model sees the same
     values and gives the same bits as for float64 features; the cache
-    keeps the widened copy, so :func:`backward` runs in float64 too.
+    keeps the widened top-k rows, so :func:`backward` runs in float64 too.
 
     The hidden layer is written into ``out``, a C-contiguous float64
     array of shape (patches, hidden); pass a slice of a buffer reused
@@ -201,7 +204,7 @@ def forward(
         raise FloatingPointError("non-finite patch pre-activation; model has diverged")
     patch_scores = sigmoid(z)
     score, topk = aggregate_topk(patch_scores, fraction)
-    return ForwardCache(features, out, patch_scores, topk, score)
+    return ForwardCache(features[topk], out[topk], patch_scores, topk, score)
 
 
 def backward(params: ModelParams, cache: ForwardCache, upstream: float) -> np.ndarray:
@@ -216,10 +219,8 @@ def backward(params: ModelParams, cache: ForwardCache, upstream: float) -> np.nd
     """
     if not math.isfinite(upstream):
         raise FloatingPointError(f"non-finite upstream gradient {upstream}")
-    topk = cache.topk
-    m = topk.size
-    hid = cache.hidden[topk]
-    s = cache.patch_scores[topk]
+    m, hid = cache.topk.size, cache.hidden
+    s = cache.patch_scores[cache.topk]
     # d(bag score)/d(patch score) = 1/m on the selected patches.
     dz = (upstream / m) * s * (1.0 - s)
     d_w2 = hid.T @ dz
@@ -227,7 +228,7 @@ def backward(params: ModelParams, cache: ForwardCache, upstream: float) -> np.nd
     d_hid = np.outer(dz, params.w2)
     # relu(pre) > 0 exactly where pre > 0, so the activation gives the mask.
     d_pre = d_hid * (hid > 0.0)
-    d_w1 = d_pre.T @ cache.features[topk]
+    d_w1 = d_pre.T @ cache.features
     d_b1 = d_pre.sum(axis=0)
     return np.concatenate([d_w1.ravel(), d_b1, d_w2, [d_b2]])
 

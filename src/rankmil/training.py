@@ -10,12 +10,13 @@ validation AUC, earliest epoch winning ties.
 
 Every objective runs through one step loop. A unit is a tuple of one
 to three bags; each bag gets one :func:`~rankmil.model.forward` per
-step into its own hidden-layer buffer slot (one slot per bag of a
-unit, each sized to the largest training bag), the variant's loss maps
-the bag scores to one upstream gradient per bag, and
-:func:`~rankmil.model.backward` reuses the cached activations, skipping
-bags whose upstream is exactly zero. The model parameters are views
-into the optimizer's flat vector, which every step updates in place.
+step, the variant's loss maps the bag scores to one upstream gradient
+per bag, and :func:`~rankmil.model.backward` reuses the top-k rows each
+forward cached, skipping bags whose upstream is exactly zero. Every
+forward of a step and of validation writes its hidden layer into one
+buffer, sized to the largest training or validation bag. The model
+parameters are views into the optimizer's flat vector, which every step
+updates in place.
 """
 
 from __future__ import annotations
@@ -151,12 +152,10 @@ class Adam:
 
 
 def score_dataset(params: ModelParams, bags: Iterable[Bag], fraction: float) -> list[BagScore]:
-    """Score every bag in iteration order through one hidden-layer
-    buffer. Bags already in memory (a :class:`Dataset`, a list) size it
-    to the largest bag up front; an iterator is consumed one bag at a
-    time, and the buffer grows only when a larger bag arrives."""
-    rows = 0 if isinstance(bags, Iterator) else max((b.n_patches for b in bags), default=0)
-    buf = np.empty((rows, params.hidden))
+    """Score every bag in iteration order, consuming ``bags`` one at a
+    time, through one hidden-layer buffer that grows only when a larger
+    bag arrives."""
+    buf = np.empty((0, params.hidden))
     scores: list[BagScore] = []
     for bag in bags:
         if bag.n_patches > buf.shape[0]:
@@ -165,10 +164,9 @@ def score_dataset(params: ModelParams, bags: Iterable[Bag], fraction: float) -> 
     return scores
 
 
-def _val_auc(params: ModelParams, ds_val: Dataset, fraction: float) -> float:
-    scores = [bs.score for bs in score_dataset(params, ds_val, fraction)]
-    labels = [bag.label for bag in ds_val.bags]
-    return auc(scores, labels)
+def _val_auc(params: ModelParams, ds_val: Dataset, fraction: float, buf: np.ndarray) -> float:
+    scores = [forward(params, bag.features, fraction, buf[: bag.n_patches]).score for bag in ds_val]
+    return auc(scores, [bag.label for bag in ds_val])
 
 
 def _unit_loss(bags: tuple[Bag, ...], scores: list[float], cfg: LossConfig) -> LossOutput:
@@ -240,8 +238,8 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
     else:
         opt = Sgd(cfg.learning_rate)
     frac = cfg.topk_fraction
-    rows = max(bag.n_patches for bag in ds_train.bags)
-    slots = [np.empty((rows, hidden)) for _ in range(3)]
+    # A validation bag can be larger than every training bag.
+    buf = np.empty((max(bag.n_patches for bag in (*ds_train, *ds_val)), hidden))
 
     history: list[EpochStats] = []
     best_auc = -math.inf
@@ -254,10 +252,7 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
         units = _epoch_units(cfg.loss.variant, ds_train, rng)
         for unit, bags in enumerate(units):
             try:
-                caches = [
-                    forward(params, bag.features, frac, slot[: bag.n_patches])
-                    for bag, slot in zip(bags, slots)
-                ]
+                caches = [forward(params, bag.features, frac, buf[: bag.n_patches]) for bag in bags]
                 loss = _unit_loss(bags, [c.score for c in caches], cfg.loss)
                 grad = np.zeros(vec.size)
                 for cache, upstream in zip(caches, loss.grads):
@@ -276,7 +271,7 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
             params.b2 = float(vec[-1])
 
         try:
-            val_auc = _val_auc(params, ds_val, frac)
+            val_auc = _val_auc(params, ds_val, frac, buf)
         except FloatingPointError as exc:
             raise TrainingDiverged(f"epoch {epoch}, validation scoring: {exc}") from exc
         history.append(EpochStats(float(np.mean(losses)), val_auc))

@@ -292,9 +292,10 @@ def test_train_holds_loaded_bags_at_float32(tmp_path):
     """``train`` holds its training and validation sets in memory: here
     240 bags of 300 to 600 patches at dim 32, about 3.5 million values,
     13 MB at the 4 bytes of the file's float32 and 26 MB as float64.
-    Buffers, the model and the optimizer add about 4 MB, so a growth of
-    VmHWM (see test_synth_and_score_hold_one_bag_at_a_time) under 22 MB
-    holds only if loaded bags stay float32."""
+    The hidden-layer buffer, the model and the optimizer add about 2 MB
+    (1.9 MB measured), so a growth of VmHWM (see
+    test_synth_and_score_hold_one_bag_at_a_time) under 22 MB holds only
+    if loaded bags stay float32."""
     grown_kib, values = map(int, _run_memory_script(_TRAIN_MEMORY_SCRIPT, tmp_path).split())
     assert 8 * values / 2**20 > 22.0 > 4 * values / 2**20 + 4.0
     grown_mb = grown_kib / 1024
@@ -413,17 +414,17 @@ def test_correlate_output_and_warnings(tmp_path, capsys):
 
 
 def test_commas_and_quotes_in_ids_and_names_survive_the_pipeline(tmp_path, capsys):
-    """A bag_id or covariate name holding a comma or a double quote is
-    quoted by every CSV writer, so score, eval and correlate read back
-    the fields that were written."""
-    ids = ["x,1", 'say "hi"', "plain", 'a,"b"']
+    """A bag_id or covariate name holding a comma, a double quote or a
+    carriage return is quoted by every CSV writer, so score, eval and
+    correlate read back the fields that were written."""
+    ids = ["x,1", 'say "hi"', "plain", 'a,"b"', "cr\rid"]
     rng = Rng(8)
     for i in range(len(ids)):
         write_feature_file(tmp_path / f"b{i}.milf", rng.gauss_block(5 * 3).reshape(5, 3))
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(
         'bag_id,label,path\n"x,1",1,b0.milf\n"say ""hi""",1,b1.milf\n'
-        'plain,0,b2.milf\n"a,""b""",0,b3.milf\n'
+        'plain,0,b2.milf\n"a,""b""",0,b3.milf\n"cr\rid",1,b4.milf\n'
     )
     assert [row[0] for row in load_manifest(manifest)] == ids
     rewritten = tmp_path / "rewritten.csv"
@@ -437,14 +438,15 @@ def test_commas_and_quotes_in_ids_and_names_survive_the_pipeline(tmp_path, capsy
                  "--out", str(scores)]) == 0
     read_ids, _, labels = _read_score_csv(str(scores))
     assert read_ids == ids
-    assert labels == [1, 1, 0, 0]
+    assert labels == [1, 1, 0, 0, 1]
     assert main(["eval", "--scores", str(scores)]) == 0
     assert "AUC" in capsys.readouterr().out
 
     cov = tmp_path / "cov.csv"
     cov.write_text(
-        'bag_id,"cd8, activated","t""fh"\n"x,1",1.0,4.0\n"say ""hi""",2.0,3.0\n'
-        'plain,3.0,1.0\n"a,""b""",5.0,2.0\n'
+        'bag_id,"cd8, activated","t""fh","b\rcells"\n"x,1",1.0,4.0,2.0\n'
+        '"say ""hi""",2.0,3.0,1.0\nplain,3.0,1.0,5.0\n"a,""b""",5.0,2.0,4.0\n'
+        '"cr\rid",4.0,5.0,3.0\n'
     )
     out = tmp_path / "corr.csv"
     assert main(["correlate", "--scores", str(scores), "--covariates", str(cov),
@@ -452,8 +454,8 @@ def test_commas_and_quotes_in_ids_and_names_survive_the_pipeline(tmp_path, capsy
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["name", "rho", "p_value", "n"]
-    assert [row[0] for row in rows[1:]] == ["cd8, activated", 't"fh']
-    assert all(len(row) == 4 and row[3] == "4" for row in rows[1:])
+    assert [row[0] for row in rows[1:]] == ['t"fh', "b\rcells", "cd8, activated"]
+    assert all(len(row) == 4 and row[3] == "5" for row in rows[1:])
 
 
 @pytest.mark.parametrize("command", ["eval", "correlate"])

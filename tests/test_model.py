@@ -301,10 +301,24 @@ def test_forward_widens_float32_features_exactly():
     wide = narrow.astype(np.float64)
     a, b = forward(p, narrow, 0.3), forward(p, wide, 0.3)
     assert a.features.dtype == np.float64
-    assert a.features.tobytes() == wide.tobytes()
+    assert a.features.tobytes() == wide[a.topk].tobytes()
     assert a.patch_scores.tobytes() == b.patch_scores.tobytes()
     assert a.score.hex() == b.score.hex()
     assert backward(p, a, 0.7).tobytes() == backward(p, b, 0.7).tobytes()
+
+
+def test_forward_cache_owns_its_top_k_rows():
+    """A second forward into the same buffer leaves the first cache's
+    gradient as it was: the cache holds copies of its top-k rows only."""
+    p = init_params(6, 5, Rng(5))
+    rng = Rng(6)
+    first, second = (rng.gauss_block(n * 6).reshape(n, 6) for n in (20, 17))
+    buf = np.empty((20, 5))
+    shared = forward(p, first, 0.2, buf)
+    forward(p, second, 0.2, buf[:17])
+    private = forward(p, first, 0.2)
+    assert shared.hidden.shape == (4, 5) and shared.features.shape == (4, 6)
+    assert backward(p, shared, 0.7).tobytes() == backward(p, private, 0.7).tobytes()
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -34,12 +34,17 @@ def _loss(variant=LossVariant.TRIPLET_RANKING, **kw):
     return LossConfig(variant=variant, **kw)
 
 
-def _datasets(shift=3.0, seed=5, n_pos=6, n_neg=12, val=(3, 5), patches=(8, 15)):
-    common = dict(
-        dim=6, patches_min=patches[0], patches_max=patches[1], shift=shift, seed=seed
-    )
-    tr = generate(SynthConfig(n_pos=n_pos, n_neg=n_neg, stream_id=0, **common))
-    va = generate(SynthConfig(n_pos=val[0], n_neg=val[1], stream_id=1, **common))
+def _datasets(
+    shift=3.0, seed=5, n_pos=6, n_neg=12, val=(3, 5), patches=(8, 15), val_patches=None
+):
+    """Training and validation sets; ``val_patches`` is the validation
+    bags' patch range, ``patches`` by default."""
+    common = dict(dim=6, shift=shift, seed=seed)
+    vp = val_patches or patches
+    tr = generate(SynthConfig(n_pos=n_pos, n_neg=n_neg, stream_id=0, patches_min=patches[0],
+                              patches_max=patches[1], **common))
+    va = generate(SynthConfig(n_pos=val[0], n_neg=val[1], stream_id=1, patches_min=vp[0],
+                              patches_max=vp[1], **common))
     return tr, va
 
 
@@ -425,9 +430,11 @@ def _reference_train(ds_train, ds_val, cfg):
     ],
 )
 def test_train_matches_per_bag_reference_bit_for_bit(variant, optimizer):
-    # Bags of 8 to 40 patches, so the hidden-layer buffers are reused
-    # across bags of different sizes.
-    tr, va = _datasets(patches=(8, 40))
+    # Training bags of 8 to 40 patches, so the hidden-layer buffer is
+    # reused across bags of different sizes, and validation bags of 30 to
+    # 60, so that validation needs more rows than any training bag.
+    tr, va = _datasets(patches=(8, 40), val_patches=(30, 60))
+    assert max(bag.n_patches for bag in va) > max(bag.n_patches for bag in tr)
     cfg = _config(
         loss=_loss(variant), epochs=3, patience=10, learning_rate=5e-3,
         optimizer=optimizer, topk_fraction=0.2,
