@@ -141,14 +141,12 @@ def _check_writable_features(features: np.ndarray) -> np.ndarray:
 
 
 def write_feature_file(path: str | Path, features: np.ndarray) -> None:
-    """Write a binary feature file. float64 input is narrowed to the
-    float32 storage format."""
+    """Write a binary feature file atomically (see
+    :func:`write_bytes_atomic`). float64 input is narrowed to the float32
+    storage format."""
     features = _check_writable_features(features)
-    k, d = features.shape
-    payload = np.ascontiguousarray(features, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(_FEATURE_MAGIC + struct.pack("<II", k, d))
-        fh.write(payload)
+    header = _FEATURE_MAGIC + struct.pack("<II", *features.shape)
+    write_bytes_atomic(path, b"".join((header, features.astype("<f4", order="C"))))
 
 
 def _load_feature_csv(path: Path) -> np.ndarray:

@@ -17,8 +17,8 @@ without a second forward pass.
 :func:`score_bag` and :func:`backward_bag` wrap the two for one bag.
 
 Checkpoint format: magic ``MILM`` | version: u32 LE | dim: u32 |
-hidden: u32 | w1 (hidden*dim) | b1 (hidden) | w2 (hidden) | b2, all
-float64 LE, row-major.
+hidden: u32 | the parameter vector :attr:`ModelParams.vec` as float64
+LE, in the one layout :func:`_pack` defines.
 """
 
 from __future__ import annotations
@@ -46,33 +46,46 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
-@dataclass
+def _pack(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: float) -> np.ndarray:
+    """The one parameter layout, ``[w1 row-major, b1, w2, b2]``, shared by
+    the model, gradients, optimizer state and the checkpoint payload."""
+    return np.concatenate([np.ravel(w1), b1, w2, [b2]])
+
+
 class ModelParams:
-    """MLP weights: ``w1`` (hidden, dim), ``b1`` (hidden,), ``w2``
-    (hidden,), ``b2`` scalar."""
+    """MLP weights ``w1`` (hidden, dim), ``b1`` (hidden,), ``w2``
+    (hidden,) and scalar ``b2``, owned by one C-contiguous float64 vector
+    ``vec`` in the :func:`_pack` layout. ``w1``, ``b1`` and ``w2`` are
+    views into ``vec`` and ``b2`` reads its last element, so writing
+    ``vec`` in place updates every one of them."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
-
-    def __post_init__(self) -> None:
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = float(self.b2)
-        if self.w1.ndim != 2:
-            raise ValueError(f"w1 must be 2-d, got shape {self.w1.shape}")
-        h, d = self.w1.shape
+    def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: float) -> None:
+        w1 = np.asarray(w1, dtype=np.float64)
+        b1 = np.asarray(b1, dtype=np.float64)
+        w2 = np.asarray(w2, dtype=np.float64)
+        if w1.ndim != 2:
+            raise ValueError(f"w1 must be 2-d, got shape {w1.shape}")
+        h, d = w1.shape
         if h < 1 or d < 1:
             raise ValueError(f"w1 must be at least 1x1, got {h}x{d}")
-        if self.b1.shape != (h,) or self.w2.shape != (h,):
-            raise ValueError(
-                f"b1 and w2 must have shape ({h},), got {self.b1.shape} and {self.w2.shape}"
-            )
-        arrays_finite = all(np.all(np.isfinite(a)) for a in (self.w1, self.b1, self.w2))
-        if not (arrays_finite and math.isfinite(self.b2)):
+        if b1.shape != (h,) or w2.shape != (h,):
+            raise ValueError(f"b1 and w2 must have shape ({h},), got {b1.shape} and {w2.shape}")
+        self._bind(_pack(w1, b1, w2, float(b2)), d, h)
+
+    def _bind(self, vec: np.ndarray, dim: int, hidden: int) -> None:
+        """Own ``vec``, a fresh float64 vector, and view it in the
+        :func:`_pack` layout."""
+        if not np.isfinite(vec).all():
             raise ValueError("parameters contain non-finite values")
+        n_w1 = hidden * dim
+        self.vec = vec
+        self.w1 = vec[:n_w1].reshape(hidden, dim)
+        self.b1 = vec[n_w1 : n_w1 + hidden]
+        self.w2 = vec[n_w1 + hidden : n_w1 + 2 * hidden]
+
+    @property
+    def b2(self) -> float:
+        return float(self.vec[-1])
 
     @property
     def dim(self) -> int:
@@ -84,27 +97,25 @@ class ModelParams:
 
     @property
     def n_params(self) -> int:
-        return self.hidden * self.dim + 2 * self.hidden + 1
+        return self.vec.size
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2)
+        return ModelParams.from_vector(self.vec, self.dim, self.hidden)
 
     def to_vector(self) -> np.ndarray:
-        """Flatten as [w1 row-major, b1, w2, b2]; the layout shared by
-        gradients, optimizer state, and the checkpoint payload."""
-        return np.concatenate([self.w1.ravel(), self.b1, self.w2, [self.b2]])
+        """A copy of ``vec``."""
+        return self.vec.copy()
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, dim: int, hidden: int) -> "ModelParams":
-        vec = np.asarray(vec, dtype=np.float64)
+        """Parameters owning a float64 copy of ``vec``, which must be in
+        the :func:`_pack` layout."""
         n = hidden * dim + 2 * hidden + 1
-        if vec.shape != (n,):
-            raise ValueError(f"expected vector of length {n}, got shape {vec.shape}")
-        w1 = vec[: hidden * dim].reshape(hidden, dim).copy()
-        b1 = vec[hidden * dim : hidden * dim + hidden].copy()
-        w2 = vec[hidden * dim + hidden : hidden * dim + 2 * hidden].copy()
-        b2 = float(vec[-1])
-        return cls(w1, b1, w2, b2)
+        if np.shape(vec) != (n,):
+            raise ValueError(f"expected vector of length {n}, got shape {np.shape(vec)}")
+        params = cls.__new__(cls)
+        params._bind(np.array(vec, dtype=np.float64), dim, hidden)
+        return params
 
 
 @dataclass(frozen=True)
@@ -209,7 +220,7 @@ def forward(
 
 def backward(params: ModelParams, cache: ForwardCache, upstream: float) -> np.ndarray:
     """Gradient of ``upstream * bag_score`` w.r.t. the flattened
-    parameters (same layout as :meth:`ModelParams.to_vector`), from the
+    parameters (the :attr:`ModelParams.vec` layout), from the
     activations of the forward pass that produced ``cache`` with the
     same ``params``.
 
@@ -230,7 +241,7 @@ def backward(params: ModelParams, cache: ForwardCache, upstream: float) -> np.nd
     d_pre = d_hid * (hid > 0.0)
     d_w1 = d_pre.T @ cache.features
     d_b1 = d_pre.sum(axis=0)
-    return np.concatenate([d_w1.ravel(), d_b1, d_w2, [d_b2]])
+    return _pack(d_w1, d_b1, d_w2, d_b2)
 
 
 def score_bag(
@@ -256,15 +267,8 @@ def backward_bag(params: ModelParams, bag: Bag, fraction: float, upstream: float
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Serialize parameters in the versioned binary checkpoint format."""
-    write_bytes_atomic(
-        path,
-        _CHECKPOINT_MAGIC
-        + struct.pack("<III", _CHECKPOINT_VERSION, params.dim, params.hidden)
-        + np.ascontiguousarray(params.w1, dtype="<f8").tobytes()
-        + np.asarray(params.b1, dtype="<f8").tobytes()
-        + np.asarray(params.w2, dtype="<f8").tobytes()
-        + struct.pack("<d", params.b2),
-    )
+    header = _CHECKPOINT_MAGIC + struct.pack("<III", _CHECKPOINT_VERSION, params.dim, params.hidden)
+    write_bytes_atomic(path, header + params.vec.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -293,14 +297,11 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             f"{path}: payload is {len(data) - 16} bytes at byte {len(data)}, "
             f"header dim={dim} hidden={hidden} requires {expected - 16}"
         )
-    vec = np.frombuffer(data, dtype="<f8", offset=16).astype(np.float64)
-    if not np.all(np.isfinite(vec)):
+    vec = np.frombuffer(data, dtype="<f8", offset=16)
+    if not np.isfinite(vec).all():
         bad = int(np.flatnonzero(~np.isfinite(vec))[0])
         raise FormatError(f"{path}: non-finite parameter at byte {16 + 8 * bad}")
-    try:
-        return ModelParams.from_vector(vec, dim, hidden)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return ModelParams.from_vector(vec, dim, hidden)
 
 
 __all__ = [

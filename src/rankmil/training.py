@@ -14,9 +14,8 @@ step, the variant's loss maps the bag scores to one upstream gradient
 per bag, and :func:`~rankmil.model.backward` reuses the top-k rows each
 forward cached, skipping bags whose upstream is exactly zero. Every
 forward of a step and of validation writes its hidden layer into one
-buffer, sized to the largest training or validation bag. The model
-parameters are views into the optimizer's flat vector, which every step
-updates in place.
+buffer, sized to the largest training or validation bag. The optimizer
+updates the model's flat parameter vector in place.
 """
 
 from __future__ import annotations
@@ -218,28 +217,19 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
             f"validation set needs both classes, got {ds_val.n_pos} positive "
             f"and {ds_val.n_neg} negative"
         )
-    if len(ds_train.bags) and len(ds_val.bags) and ds_train.dim != ds_val.dim:
+    if ds_train.dim != ds_val.dim:
         raise ValueError(f"train dim {ds_train.dim} != validation dim {ds_val.dim}")
 
     rng = Rng(derive(cfg.seed, _TRAIN_SALT))
-    dim, hidden = ds_train.dim, cfg.hidden
-    vec = init_params(dim, hidden, rng).to_vector()
-    n_w1 = hidden * dim
-    # Views into vec: every optimizer step writes vec in place, and only
-    # the scalar b2 has to be read back.
-    params = ModelParams(
-        vec[:n_w1].reshape(hidden, dim),
-        vec[n_w1 : n_w1 + hidden],
-        vec[n_w1 + hidden : n_w1 + 2 * hidden],
-        vec[-1],
-    )
+    params = init_params(ds_train.dim, cfg.hidden, rng)
+    vec = params.vec
     if cfg.optimizer == "adam":
         opt = Adam(cfg.learning_rate, vec.size)
     else:
         opt = Sgd(cfg.learning_rate)
     frac = cfg.topk_fraction
     # A validation bag can be larger than every training bag.
-    buf = np.empty((max(bag.n_patches for bag in (*ds_train, *ds_val)), hidden))
+    buf = np.empty((max(bag.n_patches for bag in (*ds_train, *ds_val)), cfg.hidden))
 
     history: list[EpochStats] = []
     best_auc = -math.inf
@@ -268,7 +258,6 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
             opt.step(vec, grad)
             if not np.isfinite(vec).all():
                 raise TrainingDiverged(f"epoch {epoch}, unit {unit}: non-finite parameters")
-            params.b2 = float(vec[-1])
 
         try:
             val_auc = _val_auc(params, ds_val, frac, buf)

@@ -71,6 +71,9 @@ def test_feature_file_round_trip(tmp_path):
     again = tmp_path / "y.milf"
     write_feature_file(again, loaded)
     assert again.read_bytes() == path.read_bytes()
+    column_major = tmp_path / "z.milf"
+    write_feature_file(column_major, np.asfortranarray(features))
+    assert column_major.read_bytes() == path.read_bytes()
 
 
 def test_feature_file_minimal_example(tmp_path):
@@ -284,8 +287,18 @@ def _fail_replace(src, dst):
     raise OSError(18, "Invalid cross-device link")
 
 
-@pytest.mark.parametrize("failure", ["write", "replace"])
-def test_write_bytes_atomic_failure_keeps_previous_file(tmp_path, monkeypatch, failure):
+_WRITERS = {
+    "bytes": lambda path: write_bytes_atomic(path, b"new contents that never land"),
+    "milf": lambda path: write_feature_file(path, np.ones((3, 2))),
+}
+
+
+@pytest.mark.parametrize(
+    "failure, writer",
+    [("write", "bytes"), ("replace", "bytes"), ("write", "milf"), ("replace", "milf")],
+    ids=["write", "replace", "write-milf", "replace-milf"],
+)
+def test_write_bytes_atomic_failure_keeps_previous_file(tmp_path, monkeypatch, failure, writer):
     path = tmp_path / "model.milm"
     write_bytes_atomic(path, b"previous contents")
     if failure == "write":
@@ -294,6 +307,6 @@ def test_write_bytes_atomic_failure_keeps_previous_file(tmp_path, monkeypatch, f
     else:
         monkeypatch.setattr(os, "replace", _fail_replace)
     with pytest.raises(OSError):
-        write_bytes_atomic(path, b"new contents that never land")
+        _WRITERS[writer](path)
     assert path.read_bytes() == b"previous contents"
     assert os.listdir(tmp_path) == ["model.milm"]

@@ -76,6 +76,13 @@ def test_params_validation_and_vector_round_trip():
     assert q.b2 == p.b2
     with pytest.raises(ValueError, match="length 9"):
         ModelParams.from_vector(vec[:-1], dim=2, hidden=2)
+    # w1, b1, w2 and b2 all read the one vector the object owns.
+    assert np.array_equal(p.vec, vec) and p.vec.flags.c_contiguous
+    p.vec[:] = np.arange(9.0)
+    assert p.w1.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+    assert p.b1.tolist() == [4.0, 5.0] and p.w2.tolist() == [6.0, 7.0] and p.b2 == 8.0
+    with pytest.raises(AttributeError):
+        p.b2 = 1.0
     with pytest.raises(ValueError, match="non-finite"):
         _params([[math.nan]], [0.0], [0.0], 0.0)
     with pytest.raises(ValueError, match="shape"):
@@ -86,7 +93,12 @@ def test_params_copy_is_independent():
     p = _params([[1.0]], [0.0], [1.0], 0.0)
     q = p.copy()
     q.w1[0, 0] = 9.0
-    assert p.w1[0, 0] == 1.0
+    q.vec[-1] = 3.0
+    assert p.w1[0, 0] == 1.0 and p.b2 == 0.0
+    assert not np.shares_memory(p.vec, q.vec)
+    assert not np.shares_memory(p.vec, p.to_vector())
+    r = ModelParams.from_vector(q.vec, dim=1, hidden=1)
+    assert not np.shares_memory(q.vec, r.vec)
 
 
 def test_init_glorot_bounds_and_zero_biases():
@@ -328,6 +340,7 @@ def test_checkpoint_round_trip(tmp_path):
     q = load_checkpoint(path)
     assert np.array_equal(q.to_vector(), p.to_vector())
     assert (q.dim, q.hidden) == (6, 4)
+    assert path.read_bytes()[16:] == p.vec.astype("<f8").tobytes()
     resaved = tmp_path / "again.milm"
     save_checkpoint(q, resaved)
     assert resaved.read_bytes() == path.read_bytes()

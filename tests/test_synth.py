@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,8 +145,12 @@ def test_iter_bags_is_lazy():
 
 
 def test_failed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
+    real_replace = os.replace
+
     def fail_replace(src, dst):
-        raise OSError(28, "No space left on device")
+        if Path(dst).name == "manifest.csv":
+            raise OSError(28, "No space left on device")
+        real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", fail_replace)
     with pytest.raises(OSError, match="No space"):
