@@ -234,7 +234,9 @@ def csv_reader(path: str | Path) -> Iterator:
 
 
 def load_manifest(path: str | Path) -> list[tuple[str, int, str]]:
-    """Parse a manifest CSV into (bag_id, label, path) rows."""
+    """Parse a manifest CSV into (bag_id, label, path) rows. A malformed
+    row or a repeated ``bag_id`` raises :class:`FormatError` naming its
+    line."""
     path = Path(path)
     with csv_reader(path) as reader:
         try:
@@ -246,6 +248,7 @@ def load_manifest(path: str | Path) -> list[tuple[str, int, str]]:
                 f"{path}: bad header {','.join(header)!r}, expected 'bag_id,label,path'"
             )
         rows: list[tuple[str, int, str]] = []
+        seen: set[str] = set()
         for lineno, row in enumerate(reader, start=2):
             if row == []:
                 continue
@@ -254,6 +257,9 @@ def load_manifest(path: str | Path) -> list[tuple[str, int, str]]:
             bag_id, label_str, rel = row
             if not bag_id:
                 raise FormatError(f"{path}: line {lineno}: empty bag_id")
+            if bag_id in seen:
+                raise FormatError(f"{path}: line {lineno}: duplicate bag_id {bag_id!r}")
+            seen.add(bag_id)
             if label_str not in ("0", "1"):
                 raise FormatError(
                     f"{path}: line {lineno}: label must be 0 or 1, got {label_str!r}"
@@ -287,19 +293,16 @@ def iter_dataset(manifest_path: str | Path) -> Iterator[Bag]:
     reading each feature file only when its bag is requested. A binary
     file's bag keeps its float32 values (see the module docstring).
 
-    The manifest is parsed before the first bag is yielded. A duplicate
-    ``bag_id``, a missing file, a malformed file or a bag whose dim
+    The manifest is parsed before the first bag is yielded, so a
+    malformed manifest, a duplicate ``bag_id`` included, raises before
+    any bag is read. A missing file, a malformed file or a bag whose dim
     differs from the first bag's raises when the iteration reaches it.
     """
     manifest_path = Path(manifest_path)
     rows = load_manifest(manifest_path)
     base = manifest_path.parent
-    seen: set[str] = set()
     first: tuple[str, int] | None = None  # (bag_id, dim) of the first bag
     for bag_id, label, rel in rows:
-        if bag_id in seen:
-            raise ValueError(f"{manifest_path}: duplicate bag_id {bag_id!r}")
-        seen.add(bag_id)
         feature_path = base / rel  # an absolute rel replaces base
         if not feature_path.exists():
             raise FileNotFoundError(

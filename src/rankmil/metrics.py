@@ -16,7 +16,9 @@ Conventions, fixed so results are reproducible to the last bit:
 Covariates load as a :class:`CovariateTable`: column ``names``, row
 ``bag_ids`` in file order and a (rows, columns) float64 ``values``
 array, NaN where a cell is blank. :func:`correlate_table` joins it to
-the scores once, then correlates each column over its scored rows.
+the scores once, correlates each column over its scored rows, and takes
+every column's p-value from one element-wise continued fraction, which
+gives each element the bits of a one-element call.
 """
 
 from __future__ import annotations
@@ -150,34 +152,76 @@ def evaluate(scores, labels) -> EvalReport:
     )
 
 
-def _off_zero(v: float) -> float:
+def _lentz_guard(v: np.ndarray) -> np.ndarray:
     """Lentz's guard: a value closer to zero than 1e-300 becomes 1e-300."""
-    return _BETA_TINY if abs(v) < _BETA_TINY else v
+    return np.where(np.abs(v) < _BETA_TINY, _BETA_TINY, v)
 
 
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+def _continued_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta (modified Lentz),
+    element-wise. Each element runs the same operations in the same
+    order as a scalar recurrence would and is held fixed once it has
+    converged; the first element still unconverged at the iteration
+    limit raises."""
+    out = np.empty_like(x)
+    live = np.arange(x.size)  # where the unconverged elements go in out
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 / _off_zero(1.0 - qab * x / qap)
+    c = np.ones_like(x)
+    d = 1.0 / _lentz_guard(1.0 - qab * x / qap)
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
+        if not live.size:
+            return out
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 / _off_zero(1.0 + aa * d)
-        c = _off_zero(1.0 + aa / c)
-        h *= d * c
+        d = 1.0 / _lentz_guard(1.0 + aa * d)
+        c = _lentz_guard(1.0 + aa / c)
+        h = h * (d * c)
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 / _off_zero(1.0 + aa * d)
-        c = _off_zero(1.0 + aa / c)
+        d = 1.0 / _lentz_guard(1.0 + aa * d)
+        c = _lentz_guard(1.0 + aa / c)
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_TOL:
-            return h
-    raise FloatingPointError(
-        f"incomplete beta continued fraction did not converge within "
-        f"{_BETA_MAX_ITER} iterations for a={a}, b={b}, x={x}"
-    )
+        h = h * delta
+        done = np.abs(delta - 1.0) < _BETA_TOL
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live, a, b, x, qab, qap, qam, c, d, h = (
+                v[keep] for v in (live, a, b, x, qab, qap, qam, c, d, h)
+            )
+    if live.size:
+        raise FloatingPointError(
+            f"incomplete beta continued fraction did not converge within "
+            f"{_BETA_MAX_ITER} iterations for a={float(a[0])}, b={float(b[0])}, x={float(x[0])}"
+        )
+    return out
+
+
+def _incomplete_beta(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """I_x(a, b) element-wise for float64 arrays with a, b > 0 and x in
+    [0, 1]; see :func:`regularized_incomplete_beta`."""
+    out = np.where(x == 1.0, 1.0, 0.0)
+    inner = np.flatnonzero((0.0 < x) & (x < 1.0))
+    a, b, x = a[inner], b[inner], x[inner]
+    # libm's lgamma, log, log1p and exp: numpy's vectorised log and exp
+    # need not round the same way.
+    front = np.array([
+        math.exp(
+            math.lgamma(ai + bi)
+            - math.lgamma(ai)
+            - math.lgamma(bi)
+            + ai * math.log(xi)
+            + bi * math.log1p(-xi)
+        )
+        for ai, bi, xi in zip(a.tolist(), b.tolist(), x.tolist())
+    ])
+    # Python float arithmetic, which this matches bit for bit, warns of nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        flip = ~(x < (a + 1.0) / (a + b + 2.0))
+        p, q = np.where(flip, b, a), np.where(flip, a, b)
+        head = front * _continued_fraction(p, q, np.where(flip, 1.0 - x, x)) / p
+        out[inner] = np.where(flip, 1.0 - head, head)
+    return out
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -186,21 +230,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+    return float(_incomplete_beta(*np.array([[a], [b], [x]], dtype=np.float64))[0])
 
 
 @dataclass(frozen=True)
@@ -208,6 +238,39 @@ class Correlation:
     rho: float
     p_value: float
     n: int
+
+
+def _rho(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's rho of two finite, equal-length vectors, clipped to
+    [-1, 1]."""
+    n = x.size
+    dx = x - np.add.reduce(x) / n  # the bits of x.mean(), with less overhead
+    dy = y - np.add.reduce(y) / n
+    sxx = float(dx @ dx)
+    syy = float(dy @ dy)
+    if sxx == 0.0 or syy == 0.0:
+        raise UndefinedCorrelationError("correlation is undefined for a constant input")
+    rho = float(dx @ dy) / math.sqrt(sxx * syy)
+    return min(1.0, max(-1.0, rho))
+
+
+def _p_values(rhos: list[float], ns: list[int]) -> list[float]:
+    """Two-sided Student-t p-values of correlations ``rhos`` over ``ns``
+    samples, with :func:`pearson`'s ``|rho|`` short-cut, all from one
+    :func:`_incomplete_beta` call."""
+    ps = [0.0] * len(rhos)
+    live, shapes, xs = [], [], []
+    for i, (rho, n) in enumerate(zip(rhos, ns)):
+        if 1.0 - abs(rho) > _RHO_DEGENERATE:
+            df = n - 2
+            t = rho * math.sqrt(df / (1.0 - rho * rho))
+            live.append(i)
+            shapes.append(df / 2.0)
+            xs.append(df / (df + t * t))
+    tails = _incomplete_beta(np.array(shapes), np.full(len(xs), 0.5), np.array(xs))
+    for i, p in zip(live, tails.tolist()):
+        ps[i] = min(1.0, max(0.0, p))
+    return ps
 
 
 def pearson(x, y) -> Correlation:
@@ -225,20 +288,8 @@ def pearson(x, y) -> Correlation:
         raise ValueError(f"need at least 3 samples for a p-value, got {n}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("inputs contain non-finite values")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise UndefinedCorrelationError("correlation is undefined for a constant input")
-    rho = float(dx @ dy) / math.sqrt(sxx * syy)
-    rho = min(1.0, max(-1.0, rho))
-    if 1.0 - abs(rho) <= _RHO_DEGENERATE:
-        return Correlation(rho, 0.0, n)
-    df = n - 2
-    t = rho * math.sqrt(df / (1.0 - rho * rho))
-    p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
-    return Correlation(rho, min(1.0, max(0.0, p)), n)
+    rho = _rho(x, y)
+    return Correlation(rho, _p_values([rho], [n])[0], n)
 
 
 @dataclass(frozen=True)
@@ -333,17 +384,25 @@ def correlate_table(scores: Mapping[str, float], table: CovariateTable) -> Corre
     x = np.array([scores[bag_id] for bag_id in table.bag_ids if bag_id in scores], dtype=np.float64)
     columns = table.values[scored].T.copy()  # one contiguous row per covariate
     present = ~np.isnan(columns)
-    entries: list[tuple[str, Correlation]] = []
+    counts = np.count_nonzero(present, axis=1)
+    # pearson's finiteness check, made once for the whole table: a column
+    # with 3 or more joined rows may hold no infinite value and join no
+    # non-finite score.
+    bad = (present & ~(np.isfinite(columns) & np.isfinite(x))).any(axis=1)
+    if (bad & (counts >= 3)).any():
+        raise ValueError("inputs contain non-finite values")
+    named: list[tuple[str, float, int]] = []
     skipped: list[tuple[str, str]] = []
-    for name, column, m in zip(table.names, columns, present):
-        n = int(np.count_nonzero(m))
+    for name, column, m, n in zip(table.names, columns, present, counts.tolist()):
         if n < 3:
             skipped.append((name, f"only {n} joined rows, need 3"))
             continue
         try:
-            entries.append((name, pearson(x[m], column[m])))
+            named.append((name, _rho(x[m], column[m]), n))
         except UndefinedCorrelationError:
             skipped.append((name, "constant column"))
+    ps = _p_values([rho for _, rho, _ in named], [n for _, _, n in named])
+    entries = [(name, Correlation(rho, p, n)) for (name, rho, n), p in zip(named, ps)]
     entries.sort(key=lambda item: (-abs(item[1].rho), item[0]))
     n_unmatched = int(np.count_nonzero(has_value & ~scored))
     return CorrelateResult(tuple(entries), n_unmatched, tuple(skipped))

@@ -145,6 +145,21 @@ def test_data_errors_exit_1(tmp_path, capsys):
     assert "bad magic" in capsys.readouterr().err
 
 
+def test_train_duplicate_manifest_bag_id_exit_1(tmp_path, capsys):
+    data = _synth(tmp_path)
+    manifest = data / "train" / "manifest.csv"
+    rows = load_manifest(manifest)
+    write_manifest(manifest, [rows[0], (rows[0][0], *rows[1][1:]), *rows[2:]])
+    capsys.readouterr()
+    code = main([
+        "train", "--train", str(manifest), "--val", str(data / "val" / "manifest.csv"),
+        "--out", str(tmp_path / "m.milm"), *_TRAIN,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {manifest}: line 3: duplicate bag_id {rows[0][0]!r}" in err
+
+
 def test_score_dim_mismatch_exit_1(tmp_path, capsys):
     data = _synth(tmp_path)
     model = _train(tmp_path, data)

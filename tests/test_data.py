@@ -226,7 +226,7 @@ def test_load_dataset_dimension_mismatch_names_both_bags(tmp_path):
 def test_load_dataset_duplicate_and_missing(tmp_path):
     manifest = _write_dataset(tmp_path, [("a", 1, [[1.0]])])
     write_manifest(manifest, [("a", 1, "a.milf"), ("a", 0, "a.milf")])
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(FormatError, match="line 3: duplicate bag_id 'a'"):
         load_dataset(manifest)
     write_manifest(manifest, [("a", 1, "gone.milf")])
     with pytest.raises(FileNotFoundError, match="gone.milf"):

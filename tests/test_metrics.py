@@ -7,6 +7,7 @@ import pytest
 from rankmil.data import FormatError
 from rankmil.metrics import (
     CorrelateResult,
+    Correlation,
     CovariateTable,
     UndefinedCorrelationError,
     UndefinedMetricError,
@@ -20,6 +21,7 @@ from rankmil.metrics import (
     regularized_incomplete_beta,
     roc_points,
 )
+from rankmil.metrics import _incomplete_beta
 from rankmil.numerics import Rng
 
 from oracles import ap_by_thresholds, auc_by_pairs, t_two_sided_p
@@ -143,6 +145,148 @@ def test_pr_points_and_evaluate():
     assert report.pr == pr_points(scores, labels)
 
 
+# The scalar continued fraction, incomplete beta and pearson that the
+# element-wise kernel replaced, kept verbatim (names prefixed) as the
+# reference it must match bit for bit.
+_BETA_MAX_ITER = 300
+_BETA_TOL = 1e-12
+_BETA_TINY = 1e-300
+_RHO_DEGENERATE = 1e-12
+
+
+def _off_zero(v: float) -> float:
+    """Lentz's guard: a value closer to zero than 1e-300 becomes 1e-300."""
+    return _BETA_TINY if abs(v) < _BETA_TINY else v
+
+
+def _beta_cont_frac(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta (modified Lentz)."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, _BETA_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / _off_zero(1.0 + aa * d)
+        c = _off_zero(1.0 + aa / c)
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / _off_zero(1.0 + aa * d)
+        c = _off_zero(1.0 + aa / c)
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _BETA_TOL:
+            return h
+    raise FloatingPointError(
+        f"incomplete beta continued fraction did not converge within "
+        f"{_BETA_MAX_ITER} iterations for a={a}, b={b}, x={x}"
+    )
+
+
+def _reference_incomplete_beta(a: float, b: float, x: float) -> float:
+    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    if not (0.0 <= x <= 1.0):
+        raise ValueError(f"x must be in [0, 1], got {x}")
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    ln_front = (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
+    front = math.exp(ln_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cont_frac(a, b, x) / a
+    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+
+
+def _reference_pearson(x, y) -> Correlation:
+    """Pearson correlation with a two-sided Student-t p-value.
+
+    ``|rho|`` within 1e-12 of 1 short-circuits to p = 0 rather than
+    dividing by a vanishing ``1 - rho**2``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"inputs must be equal-length vectors, got {x.shape} and {y.shape}")
+    n = x.size
+    if n < 3:
+        raise ValueError(f"need at least 3 samples for a p-value, got {n}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("inputs contain non-finite values")
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = float(dx @ dx)
+    syy = float(dy @ dy)
+    if sxx == 0.0 or syy == 0.0:
+        raise UndefinedCorrelationError("correlation is undefined for a constant input")
+    rho = float(dx @ dy) / math.sqrt(sxx * syy)
+    rho = min(1.0, max(-1.0, rho))
+    if 1.0 - abs(rho) <= _RHO_DEGENERATE:
+        return Correlation(rho, 0.0, n)
+    df = n - 2
+    t = rho * math.sqrt(df / (1.0 - rho * rho))
+    p = _reference_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    return Correlation(rho, min(1.0, max(0.0, p)), n)
+
+
+def _assert_beta_bits(a, b, x):
+    """The public function and one batched call over all elements both
+    give the reference's bits for every (a, b, x)."""
+    expected = [_reference_incomplete_beta(*abx).hex() for abx in zip(a, b, x)]
+    assert [regularized_incomplete_beta(*abx).hex() for abx in zip(a, b, x)] == expected
+    batched = _incomplete_beta(np.array(a), np.array(b), np.array(x))
+    assert [v.hex() for v in batched.tolist()] == expected
+
+
+def test_incomplete_beta_matches_scalar_reference_on_both_branches():
+    rng = np.random.default_rng(11)
+    a = np.exp(rng.uniform(np.log(0.05), np.log(300.0), 2000))
+    b = np.exp(rng.uniform(np.log(0.05), np.log(300.0), 2000))
+    x = rng.uniform(size=2000)
+    direct = x < (a + 1.0) / (a + b + 2.0)
+    assert 500 < np.count_nonzero(direct) < 1500
+    x[:4] = (0.0, 1.0, 1e-300, 1.0 - 2.0**-53)  # the edges and the ends of (0, 1)
+    _assert_beta_bits(a.tolist(), b.tolist(), x.tolist())
+
+
+def test_incomplete_beta_matches_scalar_reference_on_t_tails():
+    """b = 1/2 and a = df/2, as correlate's p-values call it."""
+    rng = np.random.default_rng(12)
+    df = rng.integers(1, 5000, 1500).astype(np.float64)
+    rho = rng.uniform(-1.0, 1.0, 1500) ** 3
+    t = rho * np.sqrt(df / (1.0 - rho * rho))
+    x = df / (df + t * t)
+    _assert_beta_bits((df / 2.0).tolist(), [0.5] * len(x), x.tolist())
+
+
+def test_incomplete_beta_non_convergence_names_the_first_element():
+    message = (
+        "incomplete beta continued fraction did not converge within 300 iterations "
+        "for a=1000000.0, b=1000000.0, x=0.49995"
+    )
+    for f in (_reference_incomplete_beta, regularized_incomplete_beta):
+        with pytest.raises(FloatingPointError) as err:
+            f(1e6, 1e6, 0.49995)
+        assert str(err.value) == message
+    # In a batch, converged elements do not hide the first unconverged one.
+    with pytest.raises(FloatingPointError) as err:
+        _incomplete_beta(
+            np.array([2.0, 1e6, 1e6, 1e6]),
+            np.array([3.0, 1e6, 1e6, 1e6]),
+            np.array([0.3, 0.0, 0.49995, 0.4999]),
+        )
+    assert str(err.value) == message
+
+
 def test_incomplete_beta_edges_and_symmetry():
     assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
     assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
@@ -251,7 +395,8 @@ def _as_columns(table):
 
 def _reference_correlate(scores, covariates):
     """The dict-of-dicts join ``correlate_table`` used before the columnar
-    table, kept as the reference the columnar join must match bit for bit."""
+    table, over the scalar reference pearson, kept as the reference the
+    columnar join and the batched p-values must match bit for bit."""
     by_id = dict(scores)
     if not by_id:
         raise ValueError("no bag scores given")
@@ -273,7 +418,7 @@ def _reference_correlate(scores, covariates):
         xs = np.array([by_id[i] for i in ids])
         ys = np.array([column[i] for i in ids])
         try:
-            entries.append((name, pearson(xs, ys)))
+            entries.append((name, _reference_pearson(xs, ys)))
         except UndefinedCorrelationError:
             skipped.append((name, "constant column"))
     entries.sort(key=lambda item: (-abs(item[1].rho), item[0]))
@@ -442,3 +587,100 @@ def test_correlate_table_matches_dict_of_dicts_reference_bit_for_bit(tmp_path):
         assert loaded.bag_ids == table.bag_ids + ("blank_only",)
         assert np.array_equal(loaded.values[:-1], table.values, equal_nan=True)
         assert _bits(correlate_table(scores, loaded)) == _bits(expected)
+
+
+def test_pearson_matches_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for trial in range(300):
+        n = int(rng.integers(3, 200))
+        x = rng.normal(size=n) * rng.lognormal()
+        kind = trial % 4
+        if kind == 0:
+            y = rng.normal(size=n)
+        elif kind == 1:
+            y = 0.3 * x + rng.normal(size=n) * 10.0 ** rng.uniform(-8, 1)  # |rho| near 1
+        elif kind == 2:
+            y = -2.5 * x + 1.0  # |rho| = 1 up to rounding
+        else:
+            y = np.round(rng.normal(size=n) * 2.0)  # ties, possibly constant
+        try:
+            expected = _reference_pearson(x, y)
+        except UndefinedCorrelationError:
+            with pytest.raises(UndefinedCorrelationError):
+                pearson(x, y)
+            continue
+        got = pearson(x, y)
+        assert (got.rho.hex(), got.p_value.hex(), got.n) == (
+            expected.rho.hex(), expected.p_value.hex(), expected.n)
+        assert type(got.rho) is float and type(got.p_value) is float
+
+
+def _random_table(rng):
+    """Scores and a table of random shape whose columns include blanks,
+    copies of the scores (|rho| = 1), near-copies, integer and constant
+    columns, and columns with fewer than 3 joined rows."""
+    n_rows = int(rng.integers(3, 90))
+    bag_ids = [f"r{i}" for i in range(n_rows)]
+    scored = rng.random(n_rows) < 0.85
+    x = rng.normal(size=n_rows)
+    scores = {b: float(v) for b, v, s in zip(bag_ids, x, scored) if s}
+    scores["score_only"] = 0.5
+    columns = []
+    for _ in range(int(rng.integers(1, 40))):
+        kind = int(rng.integers(6))
+        if kind == 0:
+            col = rng.normal(size=n_rows) * rng.lognormal(sigma=3.0)
+        elif kind == 1:
+            col = rng.choice((-3.0, 0.5, 2.0)) * x + rng.choice((0.0, 1.0))
+        elif kind == 2:
+            col = x + rng.normal(size=n_rows) * 10.0 ** rng.uniform(-9, 0)
+        elif kind == 3:
+            col = np.round(rng.normal(size=n_rows))
+        elif kind == 4:
+            col = np.full(n_rows, 7.25)
+        else:
+            col = np.where(rng.random(n_rows) < 3.0 / n_rows, 1.0 + rng.random(n_rows), np.nan)
+        col[rng.random(n_rows) < rng.uniform(0.0, 0.5)] = np.nan
+        columns.append(col)
+    names = tuple(f"c{j:02d}" for j in range(len(columns)))
+    if not scores.keys() & set(bag_ids):
+        scores[bag_ids[0]] = 0.25
+    return scores, CovariateTable(names, tuple(bag_ids), np.column_stack(columns))
+
+
+def test_correlate_table_matches_scalar_reference_on_random_tables():
+    rng = np.random.default_rng(14)
+    n_columns, seen = 0, set()
+    for _ in range(150):
+        scores, table = _random_table(rng)
+        try:
+            expected = _reference_correlate(scores, _as_columns(table))
+        except ValueError as exc:  # no covariate row matches any scored bag
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                correlate_table(scores, table)
+            continue
+        got = correlate_table(scores, table)
+        assert _bits(got) == _bits(expected)
+        seen.update(reason.split()[0] for _, reason in got.skipped)
+        seen.update("p0" for _, c in got.entries if c.p_value == 0.0)
+        n_columns += len(table.names)
+    assert n_columns > 2000
+    assert seen == {"only", "constant", "p0"}
+
+
+def test_correlate_table_non_finite_values():
+    scores = {f"b{i}": float(i) for i in range(6)}
+    ok = {"b0": 1.0, "b1": 3.0, "b2": 2.0}
+    inf_column = {"b0": 1.0, "b1": 5.0, "b2": math.inf, "b3": 2.0}
+    with pytest.raises(ValueError, match="non-finite"):
+        correlate_table(scores, _table({"ok": ok, "bad": inf_column}))
+    # Fewer than 3 joined rows: skipped before its values are checked.
+    sparse_inf = {"b0": math.inf, "b1": 2.0, "nope": 3.0}
+    result = correlate_table(scores, _table({"sparse": sparse_inf, "ok": ok}))
+    assert result.skipped == (("sparse", "only 2 joined rows, need 3"),)
+    assert [name for name, _ in result.entries] == ["ok"]
+    # A non-finite score counts only in the columns that join its row.
+    scores["b5"] = math.nan
+    assert correlate_table(scores, _table({"ok": ok})).entries[0][1].n == 3
+    with pytest.raises(ValueError, match="non-finite"):
+        correlate_table(scores, _table({"x": {**ok, "b5": 4.0}}))

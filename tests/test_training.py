@@ -310,8 +310,9 @@ def test_score_dataset_order_and_empty():
 
 
 def test_score_dataset_streams_with_a_growing_buffer():
-    """Bag sizes that rise and fall make the streamed buffer grow twice;
-    the scores are those of the pre-sized buffer, bit for bit."""
+    """Bag sizes that rise and fall make the buffer grow twice. Scoring
+    the bags from a generator and from a Dataset, both through the one
+    growing-buffer path, gives the same scores, bit for bit."""
     params = init_params(5, 7, Rng(3))
     rng = Rng(4)
     bags = [
