@@ -43,9 +43,6 @@ from .metrics import (
     evaluate,
     load_covariates,
     pearson,
-    pr_points,
-    regularized_incomplete_beta,
-    roc_points,
 )
 from .model import (
     BagScore,

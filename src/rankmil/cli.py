@@ -1,7 +1,8 @@
 """Command-line pipeline: synth -> train -> score -> eval / correlate.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error (unknown
-flags, flag values outside their domain, malformed score-CSV header).
+flags, flag values outside their domain, ``eval`` on scores without a
+label column).
 Every command starts by echoing its fully resolved configuration,
 defaults included.
 """
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
-from .data import Bag, FormatError, csv_reader, iter_dataset, load_dataset, write_csv_atomic
+from .data import Bag, FormatError, iter_dataset, keyed_table, load_dataset, write_csv_atomic
 from .losses import LossConfig, LossVariant
 from .metrics import (
     UndefinedCorrelationError,
@@ -209,49 +210,44 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_score_csv(path: str) -> tuple[list[str], list[float], list[int]]:
-    with csv_reader(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty score CSV") from None
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row != []]
-    if header[:2] != ["bag_id", "score"]:
-        raise FormatError(f"{path}: header must start 'bag_id,score', got {','.join(header)!r}")
-    has_label = "label" in header
-    label_col = header.index("label") if has_label else -1
+def _read_score_csv(path: str) -> tuple[list[str], list[float], list[int] | None]:
+    """Bag ids, scores and labels of a score CSV, a keyed table (see
+    :mod:`rankmil.data`); labels are None when the header has no label
+    column."""
     ids: list[str] = []
     scores: list[float] = []
     labels: list[int] = []
-    seen: set[str] = set()
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise FormatError(f"{path}: line {lineno}: expected {len(header)} fields")
-        if row[0] in seen:
-            raise FormatError(f"{path}: line {lineno}: duplicate bag_id {row[0]!r}")
-        seen.add(row[0])
-        ids.append(row[0])
-        try:
-            score = float(row[1])
-        except ValueError:
-            raise FormatError(f"{path}: line {lineno}: score is not numeric: {row[1]!r}") from None
-        if not math.isfinite(score):
-            raise FormatError(f"{path}: line {lineno}: score is non-finite: {row[1]!r}")
-        scores.append(score)
-        if has_label:
-            if row[label_col] not in ("0", "1"):
+    with keyed_table(path, "score CSV") as (header, records):
+        if header[:2] != ["bag_id", "score"]:
+            raise FormatError(f"{path}: header must start 'bag_id,score', got {','.join(header)!r}")
+        label_col = header.index("label") if "label" in header else None
+        for lineno, row in records:
+            ids.append(row[0])
+            try:
+                score = float(row[1])
+            except ValueError:
                 raise FormatError(
-                    f"{path}: line {lineno}: label must be 0 or 1, got {row[label_col]!r}"
-                )
-            labels.append(int(row[label_col]))
-    return ids, scores, labels
+                    f"{path}: line {lineno}: score is not numeric: {row[1]!r}"
+                ) from None
+            if not math.isfinite(score):
+                raise FormatError(f"{path}: line {lineno}: score is non-finite: {row[1]!r}")
+            scores.append(score)
+            if label_col is not None:
+                if row[label_col] not in ("0", "1"):
+                    raise FormatError(
+                        f"{path}: line {lineno}: label must be 0 or 1, got {row[label_col]!r}"
+                    )
+                labels.append(int(row[label_col]))
+    return ids, scores, None if label_col is None else labels
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     ids, scores, labels = _read_score_csv(args.scores)
-    if not labels:
+    if labels is None:
         print(f"error: {args.scores} has no label column, cannot evaluate", file=sys.stderr)
         return 2
+    if not ids:
+        raise FormatError(f"{args.scores}: score CSV has no rows")
     report = evaluate(scores, labels)
     if args.curves:
         curves = Path(args.curves)

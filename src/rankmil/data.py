@@ -1,7 +1,7 @@
 """Bags of patch feature vectors and their on-disk formats.
 
 A bag is one sample: a variable-length set of fixed-width feature rows
-with a single binary label. Three file formats live here:
+with a single binary label. These file formats live here:
 
 feature file (binary)
     magic ``MILF`` | patch count K: u32 LE | feature dim D: u32 LE |
@@ -13,16 +13,24 @@ feature file (binary)
 
 feature file (text)
     a path ending in ``.csv`` is parsed as K rows of D comma-separated
-    decimals, no header.
+    decimals, no header; a blank line may only trail the rows.
+
+keyed tables
+    The manifest, the score CSV and the covariate table are CSVs whose
+    first column is ``bag_id``; :func:`keyed_table` reads all three. A
+    table has a header; blank rows are skipped; every other row has the
+    header's field count and a ``bag_id`` that is not empty and not
+    repeated.
 
 manifest
-    CSV with the exact header ``bag_id,label,path``; label is 0 or 1;
-    relative paths resolve against the manifest's directory.
+    A keyed table with the exact header ``bag_id,label,path``; label is 0
+    or 1; relative paths resolve against the manifest's directory.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import secrets
@@ -150,33 +158,38 @@ def write_feature_file(path: str | Path, features: np.ndarray) -> None:
 
 
 def _load_feature_csv(path: Path) -> np.ndarray:
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if line == "":
-                if rows:
-                    continue  # tolerate trailing blank lines only
-                raise FormatError(f"{path}: line {lineno}: empty line in feature CSV")
-            cells = line.split(",")
-            vals = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise FormatError(
-                        f"{path}: line {lineno}, column {col}: not a number: {cell!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise FormatError(
-                        f"{path}: line {lineno}, column {col}: non-finite value {cell!r}"
-                    )
-                vals.append(v)
-            if rows and len(vals) != len(rows[0]):
+    blank = 0  # line number of the first blank line since the last row
+    for lineno, raw in enumerate(io.StringIO(text, newline=""), start=1):
+        line = raw.rstrip("\r\n")
+        if line == "":
+            blank = blank or lineno
+            continue
+        if blank:  # only trailing blank lines are allowed
+            raise FormatError(f"{path}: line {blank}: empty line in feature CSV")
+        cells = line.split(",")
+        vals = []
+        for col, cell in enumerate(cells, start=1):
+            try:
+                v = float(cell)
+            except ValueError:
                 raise FormatError(
-                    f"{path}: line {lineno}: expected {len(rows[0])} values, got {len(vals)}"
+                    f"{path}: line {lineno}, column {col}: not a number: {cell!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise FormatError(
+                    f"{path}: line {lineno}, column {col}: non-finite value {cell!r}"
                 )
-            rows.append(vals)
+            vals.append(v)
+        if rows and len(vals) != len(rows[0]):
+            raise FormatError(
+                f"{path}: line {lineno}: expected {len(rows[0])} values, got {len(vals)}"
+            )
+        rows.append(vals)
     if not rows:
         raise FormatError(f"{path}: feature CSV has no rows")
     return np.asarray(rows, dtype=np.float64)
@@ -233,33 +246,49 @@ def csv_reader(path: str | Path) -> Iterator:
         raise FormatError(f"{path}: {exc}") from None
 
 
+@contextmanager
+def keyed_table(path: str | Path, what: str) -> Iterator:
+    """Read a keyed table (see the module docstring) inside a
+    :func:`csv_reader` block. Yields ``(header, rows)``, ``rows`` a lazy
+    generator of ``(line number, fields)`` per non-blank row. A broken
+    rule raises :class:`FormatError` naming the file and the row's line;
+    an empty file, ``"<path>: empty <what>"``."""
+    with csv_reader(path) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: empty {what}")
+
+        def rows() -> Iterator[tuple[int, list[str]]]:
+            seen: set[str] = set()
+            for lineno, row in enumerate(reader, start=2):
+                if row == []:
+                    continue
+                if len(row) != len(header):
+                    raise FormatError(
+                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                if not row[0]:
+                    raise FormatError(f"{path}: line {lineno}: empty bag_id")
+                if row[0] in seen:
+                    raise FormatError(f"{path}: line {lineno}: duplicate bag_id {row[0]!r}")
+                seen.add(row[0])
+                yield lineno, row
+
+        yield header, rows()
+
+
 def load_manifest(path: str | Path) -> list[tuple[str, int, str]]:
     """Parse a manifest CSV into (bag_id, label, path) rows. A malformed
-    row or a repeated ``bag_id`` raises :class:`FormatError` naming its
-    line."""
+    row, a repeated ``bag_id`` included, raises :class:`FormatError`
+    naming its line."""
     path = Path(path)
-    with csv_reader(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty manifest, expected header bag_id,label,path") from None
+    rows: list[tuple[str, int, str]] = []
+    with keyed_table(path, "manifest") as (header, records):
         if header != ["bag_id", "label", "path"]:
             raise FormatError(
                 f"{path}: bad header {','.join(header)!r}, expected 'bag_id,label,path'"
             )
-        rows: list[tuple[str, int, str]] = []
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if row == []:
-                continue
-            if len(row) != 3:
-                raise FormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            bag_id, label_str, rel = row
-            if not bag_id:
-                raise FormatError(f"{path}: line {lineno}: empty bag_id")
-            if bag_id in seen:
-                raise FormatError(f"{path}: line {lineno}: duplicate bag_id {bag_id!r}")
-            seen.add(bag_id)
+        for lineno, (bag_id, label_str, rel) in records:
             if label_str not in ("0", "1"):
                 raise FormatError(
                     f"{path}: line {lineno}: label must be 0 or 1, got {label_str!r}"
@@ -331,6 +360,7 @@ __all__ = [
     "FormatError",
     "csv_reader",
     "iter_dataset",
+    "keyed_table",
     "load_dataset",
     "load_feature_file",
     "load_manifest",

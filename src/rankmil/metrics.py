@@ -9,16 +9,20 @@ Conventions, fixed so results are reproducible to the last bit:
 * Average precision steps through distinct score thresholds in
   descending order with tied scores grouped:
   ``sum_k (R_k - R_{k-1}) * P_k``.
+* :func:`evaluate` takes both, and the ROC and PR points, from one
+  threshold walk, with the bits of :func:`auc` and
+  :func:`average_precision`.
 * Pearson correlation uses population sums; its two-sided p-value comes
   from the exact Student-t null via the regularized incomplete beta
   function, evaluated by continued fractions.
 
-Covariates load as a :class:`CovariateTable`: column ``names``, row
-``bag_ids`` in file order and a (rows, columns) float64 ``values``
-array, NaN where a cell is blank. :func:`correlate_table` joins it to
-the scores once, correlates each column over its scored rows, and takes
-every column's p-value from one element-wise continued fraction, which
-gives each element the bits of a one-element call.
+Covariates load from a keyed table (see :mod:`rankmil.data`) as a
+:class:`CovariateTable`: column ``names``, row ``bag_ids`` in file order
+and a (rows, columns) float64 ``values`` array, NaN where a cell is
+blank. :func:`correlate_table` joins it to the scores once, correlates
+each column over its scored rows, and takes every column's p-value from
+one element-wise continued fraction, which gives each element the bits
+of a one-element call.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .data import FormatError, csv_reader
+from .data import FormatError, keyed_table
 
 _BETA_MAX_ITER = 300
 _BETA_TOL = 1e-12
@@ -63,74 +67,70 @@ def _scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return scores, labels.astype(np.int64)
 
 
-def _threshold_counts(scores: np.ndarray, labels: np.ndarray):
-    """Cumulative true/false positive counts per distinct score,
-    walking thresholds in descending order with ties grouped."""
+class _Walk(NamedTuple):
+    """Cumulative true and false positives and each tie group's positives
+    and negatives, thresholds descending; and the class sizes."""
+
+    tp: np.ndarray
+    fp: np.ndarray
+    pos_per: np.ndarray
+    neg_per: np.ndarray
+    n_pos: int
+    n_neg: int
+
+
+def _walk(scores, labels, metric: str, both_classes: bool) -> _Walk:
+    """Validate one scored sample set and walk its thresholds. ``metric``
+    names what needs both classes (when ``both_classes``) or at least
+    one positive in the :class:`UndefinedMetricError`."""
+    scores, labels = _scores_labels(scores, labels)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if both_classes and (n_pos == 0 or n_neg == 0):
+        raise UndefinedMetricError(
+            f"{metric} needs both classes, got {n_pos} positive and {n_neg} negative"
+        )
+    if n_pos == 0:
+        raise UndefinedMetricError(f"{metric} needs at least one positive")
     values, inverse = np.unique(scores, return_inverse=True)
     pos_per = np.bincount(inverse, weights=labels.astype(np.float64), minlength=values.size)
-    tot_per = np.bincount(inverse, minlength=values.size).astype(np.float64)
-    neg_per = tot_per - pos_per
+    neg_per = np.bincount(inverse, minlength=values.size) - pos_per
     # np.unique sorts ascending; flip to descending thresholds.
     pos_per, neg_per = pos_per[::-1], neg_per[::-1]
-    return np.cumsum(pos_per), np.cumsum(neg_per), pos_per, neg_per
+    return _Walk(np.cumsum(pos_per), np.cumsum(neg_per), pos_per, neg_per, n_pos, n_neg)
 
 
-def auc(scores, labels) -> float:
-    """Area under the ROC curve with half credit for ties."""
-    scores, labels = _scores_labels(scores, labels)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError(
-            f"AUC needs both classes, got {n_pos} positive and {n_neg} negative"
-        )
-    tp, fp, pos_per, neg_per = _threshold_counts(scores, labels)
-    neg_above = fp - neg_per  # negatives strictly above each tie group
-    u = float(np.sum(pos_per * (neg_above + 0.5 * neg_per)))
+def _auc(w: _Walk) -> float:
+    neg_above = w.fp - w.neg_per  # negatives strictly above each tie group
+    u = float(np.sum(w.pos_per * (neg_above + 0.5 * w.neg_per)))
     # u counts inversions; wins plus half ties = total pairs - u.
-    return (n_pos * n_neg - u) / (n_pos * n_neg)
+    return (w.n_pos * w.n_neg - u) / (w.n_pos * w.n_neg)
 
 
-def roc_points(scores, labels) -> tuple[tuple[float, float], ...]:
-    """(FPR, TPR) per descending threshold group, starting at (0, 0)."""
-    scores, labels = _scores_labels(scores, labels)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError(
-            f"ROC needs both classes, got {n_pos} positive and {n_neg} negative"
-        )
-    tp, fp, _, _ = _threshold_counts(scores, labels)
-    return ((0.0, 0.0),) + tuple((f / n_neg, t / n_pos) for f, t in zip(fp, tp))
-
-
-def average_precision(scores, labels) -> float:
-    """Step-wise average precision over descending thresholds."""
-    scores, labels = _scores_labels(scores, labels)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        raise UndefinedMetricError("average precision needs at least one positive")
-    tp, fp, _, _ = _threshold_counts(scores, labels)
+def _average_precision(w: _Walk) -> float:
     ap = 0.0
     tp_prev = 0.0
-    for tp_k, fp_k in zip(tp, fp):
-        ap += ((tp_k - tp_prev) / n_pos) * (tp_k / (tp_k + fp_k))
+    for tp_k, fp_k in zip(w.tp, w.fp):
+        ap += ((tp_k - tp_prev) / w.n_pos) * (tp_k / (tp_k + fp_k))
         tp_prev = tp_k
     return ap
 
 
-def pr_points(scores, labels) -> tuple[tuple[float, float], ...]:
-    """(recall, precision) per descending threshold group."""
-    scores, labels = _scores_labels(scores, labels)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        raise UndefinedMetricError("precision-recall needs at least one positive")
-    tp, fp, _, _ = _threshold_counts(scores, labels)
-    return tuple((t / n_pos, t / (t + f)) for t, f in zip(tp, fp))
+def auc(scores, labels) -> float:
+    """Area under the ROC curve with half credit for ties."""
+    return _auc(_walk(scores, labels, "AUC", both_classes=True))
+
+
+def average_precision(scores, labels) -> float:
+    """Step-wise average precision over descending thresholds."""
+    return _average_precision(_walk(scores, labels, "average precision", both_classes=False))
 
 
 @dataclass(frozen=True)
 class EvalReport:
+    """``roc`` holds (FPR, TPR) per descending threshold group, starting
+    at (0, 0); ``pr`` holds (recall, precision) per group."""
+
     auc: float
     average_precision: float
     roc: tuple[tuple[float, float], ...]
@@ -140,15 +140,16 @@ class EvalReport:
 
 
 def evaluate(scores, labels) -> EvalReport:
-    """All ranking metrics for one scored, two-class sample set."""
-    s, y = _scores_labels(scores, labels)
+    """All ranking metrics for one scored, two-class sample set, from
+    one threshold walk."""
+    w = _walk(scores, labels, "AUC", both_classes=True)
     return EvalReport(
-        auc=auc(s, y),
-        average_precision=average_precision(s, y),
-        roc=roc_points(s, y),
-        pr=pr_points(s, y),
-        n_pos=int(y.sum()),
-        n_neg=int(y.size - y.sum()),
+        auc=_auc(w),
+        average_precision=_average_precision(w),
+        roc=((0.0, 0.0),) + tuple((f / w.n_neg, t / w.n_pos) for f, t in zip(w.fp, w.tp)),
+        pr=tuple((t / w.n_pos, t / (t + f)) for t, f in zip(w.tp, w.fp)),
+        n_pos=w.n_pos,
+        n_neg=w.n_neg,
     )
 
 
@@ -198,8 +199,8 @@ def _continued_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarr
 
 
 def _incomplete_beta(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """I_x(a, b) element-wise for float64 arrays with a, b > 0 and x in
-    [0, 1]; see :func:`regularized_incomplete_beta`."""
+    """The regularized incomplete beta function I_x(a, b), element-wise
+    for float64 arrays with a, b > 0 and x in [0, 1]."""
     out = np.where(x == 1.0, 1.0, 0.0)
     inner = np.flatnonzero((0.0 < x) & (x < 1.0))
     a, b, x = a[inner], b[inner], x[inner]
@@ -222,15 +223,6 @@ def _incomplete_beta(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         head = front * _continued_fraction(p, q, np.where(flip, 1.0 - x, x)) / p
         out[inner] = np.where(flip, 1.0 - head, head)
     return out
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    return float(_incomplete_beta(*np.array([[a], [b], [x]], dtype=np.float64))[0])
 
 
 @dataclass(frozen=True)
@@ -318,32 +310,19 @@ def _bad_cell(path: Path, lineno: int, names: list[str], cells: list[str]) -> Fo
 
 
 def load_covariates(path: str | Path) -> CovariateTable:
-    """Load a covariate table: header ``bag_id,<name>...``, one row per
-    bag, blank cells for missing values."""
+    """Load a covariate table, a keyed table (see :mod:`rankmil.data`):
+    header ``bag_id,<name>...``, one row per bag, blank cells for missing
+    values."""
     path = Path(path)
     rows: dict[str, np.ndarray] = {}  # bag_id -> values, in file order
-    with csv_reader(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty covariate table") from None
+    with keyed_table(path, "covariate table") as (header, records):
         if len(header) < 2 or header[0] != "bag_id":
             raise FormatError(f"{path}: header must be 'bag_id,<name>...', got {','.join(header)!r}")
         names = header[1:]
         if len(set(names)) != len(names):
             raise FormatError(f"{path}: duplicate covariate names in header")
-        for lineno, row in enumerate(reader, start=2):
-            if row == []:
-                continue
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
+        for lineno, row in records:
             bag_id, cells = row[0], row[1:]
-            if not bag_id:
-                raise FormatError(f"{path}: line {lineno}: empty bag_id")
-            if bag_id in rows:
-                raise FormatError(f"{path}: line {lineno}: duplicate bag_id {bag_id!r}")
             try:
                 rows[bag_id] = np.array([float(c) if c else math.nan for c in cells])
             except ValueError:
@@ -421,7 +400,4 @@ __all__ = [
     "evaluate",
     "load_covariates",
     "pearson",
-    "pr_points",
-    "regularized_incomplete_beta",
-    "roc_points",
 ]

@@ -347,6 +347,15 @@ def test_eval_without_labels_exit_2(tmp_path, capsys):
     assert "no label column" in capsys.readouterr().err
 
 
+def test_eval_header_only_score_csv_exit_1(tmp_path, capsys):
+    """A label column with no rows under it is a data error, not a
+    usage error."""
+    scores = tmp_path / "scores.csv"
+    scores.write_text("bag_id,score,label\n")
+    assert main(["eval", "--scores", str(scores)]) == 1
+    assert capsys.readouterr().err == f"error: {scores}: score CSV has no rows\n"
+
+
 def test_eval_single_class_exit_1(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     scores.write_text("bag_id,score,label\na,0.9,1\nb,0.1,1\n")
@@ -362,6 +371,9 @@ def test_eval_malformed_score_csv_exit_1(tmp_path, capsys):
     scores.write_text("bag_id,score,label\na,high,1\n")
     assert main(["eval", "--scores", str(scores)]) == 1
     assert "score is not numeric" in capsys.readouterr().err
+    scores.write_text("bag_id,score,label\nb,0.1,0\n,0.9,1\n")
+    assert main(["eval", "--scores", str(scores)]) == 1
+    assert capsys.readouterr().err == f"error: {scores}: line 3: empty bag_id\n"
 
 
 def test_score_csv_malformed_csv_bytes_and_non_finite(tmp_path):

@@ -1,5 +1,6 @@
 """Random truncations and byte flips of every file format the CLI reads
-(covariate table, score CSV, manifest, binary feature file, checkpoint):
+(covariate table, score CSV, manifest, binary and text feature files,
+checkpoint):
 the readers either load the file or raise FormatError, never any other
 exception. And random text written by the CSV writer reads back as the
 same fields."""
@@ -45,9 +46,10 @@ _MANIFEST = (
     b"\n"
     b"neg_0002,0,/abs/neg_0002.milf\n"
 )
-# A 3x2 feature file and a dim-2, hidden-2 checkpoint, in the byte layouts
-# documented in rankmil.data and rankmil.model.
+# A 3x2 feature file, binary and text, and a dim-2, hidden-2 checkpoint, in
+# the layouts documented in rankmil.data and rankmil.model.
 _FEATURES = b"MILF" + struct.pack("<II", 3, 2) + np.arange(6, dtype="<f4").tobytes()
+_FEATURE_CSV = b"0.5,-1.25\n2e-3,4\n1.0,0\n"
 _CHECKPOINT = (
     b"MILM" + struct.pack("<III", 1, 2, 2) + np.linspace(-1.0, 1.0, 9).astype("<f8").tobytes()
 )
@@ -102,6 +104,12 @@ def test_mutated_manifest_raises_only_format_error(data):
 @given(_mutations(_FEATURES))
 def test_mutated_feature_file_raises_only_format_error(data):
     _loads_or_format_error(load_feature_file, data, "input.milf")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_mutations(_FEATURE_CSV))
+def test_mutated_feature_csv_raises_only_format_error(data):
+    _loads_or_format_error(load_feature_file, data)
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from rankmil.cli import _read_score_csv
 from rankmil.data import (
     Bag,
     Dataset,
@@ -17,6 +18,7 @@ from rankmil.data import (
     write_feature_file,
     write_manifest,
 )
+from rankmil.metrics import load_covariates
 from rankmil.numerics import Rng
 
 
@@ -105,6 +107,23 @@ def test_feature_csv_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(FormatError, match="no rows"):
         load_feature_file(empty)
+    binary = tmp_path / "x.csv"
+    binary.write_bytes(b"1,2\n3,\xff\n")
+    with pytest.raises(FormatError, match=re.escape(f"{binary}: 'utf-8' codec can't decode")):
+        load_feature_file(binary)
+
+
+def test_feature_csv_blank_lines_only_trail_the_rows(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("1,2\n3,4\n\n\r\n")
+    assert np.array_equal(load_feature_file(path), [[1.0, 2.0], [3.0, 4.0]])
+    path.write_text("1,2\n\n\n3,4\n")
+    with pytest.raises(FormatError) as err:
+        load_feature_file(path)
+    assert str(err.value) == f"{path}: line 2: empty line in feature CSV"
+    path.write_text("\n1,2\n")
+    with pytest.raises(FormatError, match="line 1: empty line"):
+        load_feature_file(path)
 
 
 def test_feature_file_bad_magic(tmp_path):
@@ -177,6 +196,44 @@ def test_manifest_malformed_csv_and_bytes(tmp_path):
     path.write_bytes(b"bag_id,label,path\na,1,\xffa.milf\n")
     with pytest.raises(FormatError, match=re.escape(f"{path}: 'utf-8' codec can't decode byte 0xff")):
         load_manifest(path)
+
+
+# The three keyed tables by the name their empty-file error gives, each as
+# (reader, header, a row for a bag_id, the bag_ids in what the reader returned).
+_KEYED_TABLES = {
+    "manifest": (
+        load_manifest, "bag_id,label,path", "{},1,{}.milf", lambda rows: [r[0] for r in rows],
+    ),
+    "score CSV": (
+        lambda path: _read_score_csv(str(path)), "bag_id,score,label", "{},0.5,1",
+        lambda read: read[0],
+    ),
+    "covariate table": (
+        load_covariates, "bag_id,x,y", "{},1.5,", lambda table: list(table.bag_ids),
+    ),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_KEYED_TABLES))
+def test_keyed_table_rules_hold_for_every_reader(tmp_path, table):
+    read, header, row, ids_of = _KEYED_TABLES[table]
+    path = tmp_path / "t.csv"
+
+    def error(text):
+        path.write_text(text)
+        with pytest.raises(FormatError) as err:
+            read(path)
+        return str(err.value)
+
+    a, b = row.format("a", "a"), row.format("b", "b")
+    assert error("") == f"{path}: empty {table}"
+    assert error(f"{header}\n{a}\nc,1\n") == f"{path}: line 3: expected 3 fields, got 2"
+    assert error(f"{header}\n{a}\n{a}\n") == f"{path}: line 3: duplicate bag_id 'a'"
+    assert error(f"{header}\n\n{row.format('', 'x')}\n") == f"{path}: line 3: empty bag_id"
+    path.write_text(f"{header}\n\n{a}\n\n\n{b}\n\n")
+    assert ids_of(read(path)) == ["a", "b"]
+    path.write_text(f"{header}\n")
+    assert ids_of(read(path)) == []
 
 
 def _write_dataset(tmp_path, entries):

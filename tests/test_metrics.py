@@ -17,9 +17,6 @@ from rankmil.metrics import (
     evaluate,
     load_covariates,
     pearson,
-    pr_points,
-    regularized_incomplete_beta,
-    roc_points,
 )
 from rankmil.metrics import _incomplete_beta
 from rankmil.numerics import Rng
@@ -112,7 +109,7 @@ def test_average_precision_needs_a_positive():
 
 
 def test_roc_points():
-    points = roc_points([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
+    points = evaluate([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]).roc
     assert points[0] == (0.0, 0.0)
     assert points[-1] == (1.0, 1.0)
     fpr = [p[0] for p in points]
@@ -124,7 +121,7 @@ def test_roc_trapezoid_equals_auc():
     rng = Rng(205)
     for trial in range(50):
         scores, labels = _random_instance(rng, tie_grid=6 if trial % 2 else None)
-        points = roc_points(scores, labels)
+        points = evaluate(scores, labels).roc
         area = 0.0
         for (f0, t0), (f1, t1) in zip(points, points[1:]):
             area += (f1 - f0) * (t0 + t1) / 2.0
@@ -134,15 +131,15 @@ def test_roc_trapezoid_equals_auc():
 def test_pr_points_and_evaluate():
     scores = [0.9, 0.4, 0.6, 0.2]
     labels = [1, 1, 0, 0]
-    points = pr_points(scores, labels)
-    assert points[0] == (0.5, 1.0)
-    assert points[-1][0] == 1.0
     report = evaluate(scores, labels)
+    assert report.pr == ((0.5, 1.0), (0.5, 0.5), (1.0, 2.0 / 3.0), (1.0, 0.5))
+    assert report.roc == ((0.0, 0.0), (0.0, 0.5), (0.5, 0.5), (0.5, 1.0), (1.0, 1.0))
     assert report.auc == auc(scores, labels)
     assert report.average_precision == average_precision(scores, labels)
     assert report.n_pos == 2 and report.n_neg == 2
-    assert report.roc == roc_points(scores, labels)
-    assert report.pr == pr_points(scores, labels)
+    # One walk raises what auc raises first.
+    with pytest.raises(UndefinedMetricError, match="AUC needs both classes, got 2 positive and 0"):
+        evaluate([0.5, 0.4], [1, 1])
 
 
 # The scalar continued fraction, incomplete beta and pearson that the
@@ -238,11 +235,16 @@ def _reference_pearson(x, y) -> Correlation:
     return Correlation(rho, min(1.0, max(0.0, p)), n)
 
 
+def _beta(a: float, b: float, x: float) -> float:
+    """A one-element call of the element-wise incomplete beta."""
+    return float(_incomplete_beta(np.array([a]), np.array([b]), np.array([x]))[0])
+
+
 def _assert_beta_bits(a, b, x):
-    """The public function and one batched call over all elements both
+    """One-element calls and one batched call over all elements both
     give the reference's bits for every (a, b, x)."""
     expected = [_reference_incomplete_beta(*abx).hex() for abx in zip(a, b, x)]
-    assert [regularized_incomplete_beta(*abx).hex() for abx in zip(a, b, x)] == expected
+    assert [_beta(*abx).hex() for abx in zip(a, b, x)] == expected
     batched = _incomplete_beta(np.array(a), np.array(b), np.array(x))
     assert [v.hex() for v in batched.tolist()] == expected
 
@@ -273,7 +275,7 @@ def test_incomplete_beta_non_convergence_names_the_first_element():
         "incomplete beta continued fraction did not converge within 300 iterations "
         "for a=1000000.0, b=1000000.0, x=0.49995"
     )
-    for f in (_reference_incomplete_beta, regularized_incomplete_beta):
+    for f in (_reference_incomplete_beta, _beta):
         with pytest.raises(FloatingPointError) as err:
             f(1e6, 1e6, 0.49995)
         assert str(err.value) == message
@@ -288,19 +290,14 @@ def test_incomplete_beta_non_convergence_names_the_first_element():
 
 
 def test_incomplete_beta_edges_and_symmetry():
-    assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-    assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+    assert _beta(2.0, 3.0, 0.0) == 0.0
+    assert _beta(2.0, 3.0, 1.0) == 1.0
     # I_x(1, 1) is the identity.
     for x in (0.1, 0.5, 0.9):
-        assert abs(regularized_incomplete_beta(1.0, 1.0, x) - x) < 1e-12
+        assert abs(_beta(1.0, 1.0, x) - x) < 1e-12
     # Reflection: I_x(a, b) + I_{1-x}(b, a) == 1.
     for a, b, x in ((2.5, 1.5, 0.3), (9.0, 0.5, 0.75), (4.0, 4.0, 0.62)):
-        total = regularized_incomplete_beta(a, b, x) + regularized_incomplete_beta(b, a, 1.0 - x)
-        assert abs(total - 1.0) < 1e-12
-    with pytest.raises(ValueError, match="positive"):
-        regularized_incomplete_beta(0.0, 1.0, 0.5)
-    with pytest.raises(ValueError, match="x"):
-        regularized_incomplete_beta(1.0, 1.0, 1.5)
+        assert abs(_beta(a, b, x) + _beta(b, a, 1.0 - x) - 1.0) < 1e-12
 
 
 def test_pearson_exact_examples():
