@@ -267,6 +267,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     ids, scores, _ = _read_score_csv(args.scores)
+    if not ids:
+        raise FormatError(f"{args.scores}: score CSV has no rows")
     covariates = load_covariates(args.covariates)
     result = correlate_table(dict(zip(ids, scores)), covariates)
     if result.n_unmatched:

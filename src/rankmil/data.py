@@ -250,9 +250,10 @@ def csv_reader(path: str | Path) -> Iterator:
 def keyed_table(path: str | Path, what: str) -> Iterator:
     """Read a keyed table (see the module docstring) inside a
     :func:`csv_reader` block. Yields ``(header, rows)``, ``rows`` a lazy
-    generator of ``(line number, fields)`` per non-blank row. A broken
-    rule raises :class:`FormatError` naming the file and the row's line;
-    an empty file, ``"<path>: empty <what>"``."""
+    generator of ``(line number, fields)`` per non-blank row, the line
+    number being that of the row's first line (a quoted field may span
+    lines). A broken rule raises :class:`FormatError` naming the file and
+    the row's line; an empty file, ``"<path>: empty <what>"``."""
     with csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
@@ -260,7 +261,9 @@ def keyed_table(path: str | Path, what: str) -> Iterator:
 
         def rows() -> Iterator[tuple[int, list[str]]]:
             seen: set[str] = set()
-            for lineno, row in enumerate(reader, start=2):
+            start = reader.line_num + 1
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
                 if row == []:
                     continue
                 if len(row) != len(header):

@@ -19,7 +19,11 @@ Conventions, fixed so results are reproducible to the last bit:
 Covariates load from a keyed table (see :mod:`rankmil.data`) as a
 :class:`CovariateTable`: column ``names``, row ``bag_ids`` in file order
 and a (rows, columns) float64 ``values`` array, NaN where a cell is
-blank. :func:`correlate_table` joins it to the scores once, correlates
+blank. A plain table, unquoted with LF line ends and well-formed rows,
+is parsed by numpy's C text reader; quoted fields, CRLF line ends and
+malformed rows go through a row reader that parses each cell with
+``float``, which gives the same table and every error message.
+:func:`correlate_table` joins it to the scores once, correlates
 each column over its scored rows, and takes every column's p-value from
 one element-wise continued fraction, which gives each element the bits
 of a one-element call.
@@ -27,10 +31,12 @@ of a one-element call.
 
 from __future__ import annotations
 
+import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -309,11 +315,10 @@ def _bad_cell(path: Path, lineno: int, names: list[str], cells: list[str]) -> Fo
     raise AssertionError("row has no bad cell")
 
 
-def load_covariates(path: str | Path) -> CovariateTable:
-    """Load a covariate table, a keyed table (see :mod:`rankmil.data`):
-    header ``bag_id,<name>...``, one row per bag, blank cells for missing
-    values."""
-    path = Path(path)
+def _read_covariate_rows(path: Path) -> CovariateTable:
+    """The row reader: any covariate table, one ``csv`` record and one
+    ``float`` per cell at a time. It raises every :class:`FormatError`
+    that :func:`load_covariates` gives."""
     rows: dict[str, np.ndarray] = {}  # bag_id -> values, in file order
     with keyed_table(path, "covariate table") as (header, records):
         if len(header) < 2 or header[0] != "bag_id":
@@ -332,6 +337,92 @@ def load_covariates(path: str | Path) -> CovariateTable:
                 raise _bad_cell(path, lineno, names, cells)
     values = np.array(list(rows.values())).reshape(len(rows), len(names))
     return CovariateTable(tuple(names), tuple(rows), values)
+
+
+# What the cells of a plain row, and the commas between them, may hold.
+# float() and numpy's text parser read every cell made of these alike; on
+# others they can differ (numpy skips the ASCII separators \x1c-\x1f
+# around a number, float() rejects them, and float() reads 1_0 and
+# non-ASCII digits, numpy does not).
+_PLAIN_CELLS = b"0123456789+-.eE,"
+
+
+def _over_field_limit(line: str, limit: int) -> bool:
+    """Whether a field of an unquoted line is longer than ``limit``, the
+    ``csv`` module's field limit."""
+    return len(line) > limit and max(map(len, line.split(","))) > limit
+
+
+def _read_plain_covariates(path: Path) -> CovariateTable | None:
+    """The fast reader: the table in a plain file, parsed by numpy's C
+    text reader, or None when the file is not plain and the row reader
+    must decide. A plain file is UTF-8 with no double quote, no carriage
+    return and no field over the ``csv`` field limit. Its header is
+    ``bag_id`` and unique names; it has at least one data row; and each
+    non-blank line has a non-empty, unrepeated ``bag_id`` and the
+    header's count of cells, each blank or a finite number made of
+    :data:`_PLAIN_CELLS`. For such a file the row reader gives the same
+    table, bit for bit. The file is read line by line, so its text is
+    never held whole."""
+    limit = csv.field_size_limit()
+    bag_ids: dict[str, None] = {}  # in file order
+
+    def numeric_lines(lines: Iterator[str]) -> Iterator[str]:
+        for line in lines:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            bag_id, comma, rest = line.partition(",")
+            # A \r can only end a line read with newline="", so it is in
+            # rest, or the line has no comma.
+            if (
+                not comma
+                or not bag_id
+                or bag_id in bag_ids
+                or '"' in bag_id
+                or _over_field_limit(line, limit)
+                or rest.encode().translate(None, _PLAIN_CELLS)
+            ):
+                raise ValueError("not a plain line")
+            bag_ids[bag_id] = None
+            # A blank cell reads as NaN; two passes reach adjacent blanks.
+            yield f",{rest},".replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
+
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = fh.readline().rstrip("\n")
+            names = header.split(",")[1:]
+            if (
+                not header.startswith("bag_id,")
+                or _over_field_limit(header, limit)
+                or '"' in header
+                or "\r" in header
+                or len(set(names)) != len(names)
+            ):
+                return None
+            lines = numeric_lines(fh)
+            first = next(lines, None)
+            if first is None:  # loadtxt warns on empty input
+                return None
+            values = np.loadtxt(
+                itertools.chain((first,), lines),
+                delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+            )
+    except ValueError:  # a line above, loadtxt's parse, or UnicodeDecodeError
+        return None
+    if values.shape != (len(bag_ids), len(names)) or np.isinf(values).any():
+        return None
+    return CovariateTable(tuple(names), tuple(bag_ids), values)
+
+
+def load_covariates(path: str | Path) -> CovariateTable:
+    """Load a covariate table, a keyed table (see :mod:`rankmil.data`):
+    header ``bag_id,<name>...``, one row per bag, blank cells for missing
+    values. A plain file takes the fast reader; any other file, and
+    every error, the row reader."""
+    path = Path(path)
+    table = _read_plain_covariates(path)
+    return table if table is not None else _read_covariate_rows(path)
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,24 @@ def test_eval_header_only_score_csv_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {scores}: score CSV has no rows\n"
 
 
+def test_correlate_header_only_score_csv_exit_1(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("bag_id,score,label\n")
+    cov = tmp_path / "cov.csv"
+    cov.write_text("bag_id,x\na,1.0\nb,2.0\nc,3.0\n")
+    assert main(["correlate", "--scores", str(scores), "--covariates", str(cov),
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {scores}: score CSV has no rows\n"
+
+
+def test_eval_names_the_line_a_row_starts_on(tmp_path, capsys):
+    """A quoted bag_id spanning two lines moves the next row to line 4."""
+    scores = tmp_path / "scores.csv"
+    scores.write_text('bag_id,score,label\n"a\nb",0.5,1\nc,x,0\n')
+    assert main(["eval", "--scores", str(scores)]) == 1
+    assert capsys.readouterr().err == f"error: {scores}: line 4: score is not numeric: 'x'\n"
+
+
 def test_eval_single_class_exit_1(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     scores.write_text("bag_id,score,label\na,0.9,1\nb,0.1,1\n")

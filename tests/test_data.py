@@ -236,6 +236,17 @@ def test_keyed_table_rules_hold_for_every_reader(tmp_path, table):
     assert ids_of(read(path)) == []
 
 
+@pytest.mark.parametrize("table", sorted(_KEYED_TABLES))
+def test_keyed_table_errors_name_the_line_a_row_starts_on(tmp_path, table):
+    read, header, row, _ = _KEYED_TABLES[table]
+    path = tmp_path / "t.csv"
+    spanning = row.format('"a\nb"', "a")  # a quoted bag_id on lines 2 and 3
+    path.write_text(f"{header}\n{spanning}\nc,1\n")
+    with pytest.raises(FormatError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: line 4: expected 3 fields, got 2"
+
+
 def _write_dataset(tmp_path, entries):
     """entries: list of (bag_id, label, features).  Returns manifest path."""
     rows = []
