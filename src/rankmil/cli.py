@@ -14,9 +14,18 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .data import Bag, FormatError, iter_dataset, keyed_table, load_dataset, write_csv_atomic
+from .data import (
+    Bag,
+    FormatError,
+    iter_rows,
+    keyed_table,
+    load_dataset,
+    load_manifest,
+    stored_rows,
+    write_csv_atomic,
+)
 from .losses import LossConfig, LossVariant
 from .metrics import (
     UndefinedCorrelationError,
@@ -26,7 +35,8 @@ from .metrics import (
     load_covariates,
 )
 from .model import load_checkpoint, save_checkpoint
-from .synth import SynthConfig, iter_bags, write_dataset
+from .parallel import WorkerFailed, map_chunks, worker_count
+from .synth import SynthConfig, write_synth
 from .training import TrainConfig, TrainingDiverged, score_dataset, train, write_train_log
 
 _DATA_ERRORS = (
@@ -34,6 +44,7 @@ _DATA_ERRORS = (
     UndefinedMetricError,
     UndefinedCorrelationError,
     TrainingDiverged,
+    WorkerFailed,
     ValueError,
     FloatingPointError,
     OSError,
@@ -154,13 +165,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         shift=args.shift,
         seed=args.seed,
     )
-    write_dataset(iter_bags(SynthConfig(n_pos=args.pos, n_neg=args.neg, stream_id=0, **common)),
-                  out / "train")
+    write_synth(SynthConfig(n_pos=args.pos, n_neg=args.neg, stream_id=0, **common), out / "train")
     print(f"train: {args.pos} pos + {args.neg} neg bags, dim {args.dim} -> {out / 'train'}")
     if args.val_pos > 0 or args.val_neg > 0:
-        write_dataset(
-            iter_bags(SynthConfig(n_pos=args.val_pos, n_neg=args.val_neg, stream_id=1, **common)),
-            out / "val",
+        write_synth(
+            SynthConfig(n_pos=args.val_pos, n_neg=args.val_neg, stream_id=1, **common), out / "val"
         )
         print(
             f"val: {args.val_pos} pos + {args.val_neg} neg bags, dim {args.dim} -> {out / 'val'}"
@@ -193,20 +202,28 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     params = load_checkpoint(args.model)
-    labels: list[int] = []
+    manifest = Path(args.data)
+    rows = load_manifest(manifest)
 
-    def bags() -> Iterator[Bag]:
-        for bag in iter_dataset(args.data):
-            if bag.dim != params.dim:
-                raise ValueError(f"data dim {bag.dim} does not match model dim {params.dim}")
-            labels.append(bag.label)
-            yield bag
+    def score_chunk(start: int, chunk: Sequence[tuple[str, int, str]]) -> list[float]:
+        # A later chunk checks dims against the model's, naming the first
+        # bag: if that bag's dim differs, the first chunk fails before.
+        first = None if start == 0 else (rows[0][0], params.dim)
 
-    scored = score_dataset(params, bags(), args.topk)
-    rows = [(bs.bag_id, f"{bs.score:.6f}", y) for bs, y in zip(scored, labels)]
+        def bags() -> Iterator[Bag]:
+            for bag in iter_rows(manifest, chunk, first):
+                if bag.dim != params.dim:
+                    raise ValueError(f"data dim {bag.dim} does not match model dim {params.dim}")
+                yield bag
+
+        return [bs.score for bs in score_dataset(params, bags(), args.topk)]
+
+    workers = worker_count(stored_rows(manifest.parent / rel, params.dim) for _, _, rel in rows)
+    scores = [s for part in map_chunks(rows, score_chunk, workers) for s in part]
+    out_rows = [(bag_id, f"{s:.6f}", y) for (bag_id, y, _), s in zip(rows, scores)]
     _ensure_parent(args.out)
-    write_csv_atomic(args.out, [("bag_id", "score", "label"), *rows])
-    print(f"scored {len(scored)} bags -> {args.out}")
+    write_csv_atomic(args.out, [("bag_id", "score", "label"), *out_rows])
+    print(f"scored {len(scores)} bags -> {args.out}")
     return 0
 
 

@@ -331,16 +331,27 @@ def iter_dataset(manifest_path: str | Path) -> Iterator[Bag]:
     differs from the first bag's raises when the iteration reaches it.
     """
     manifest_path = Path(manifest_path)
-    rows = load_manifest(manifest_path)
+    yield from iter_rows(manifest_path, load_manifest(manifest_path))
+
+
+def iter_rows(
+    manifest_path: Path, rows: Sequence[tuple[str, int, str]], first: tuple[str, int] | None = None
+) -> Iterator[Bag]:
+    """The bags of some of a manifest's ``rows``, as :func:`iter_dataset`
+    yields them. Each bag's dim must equal ``first[1]``, and an error
+    names bag ``first[0]``; by default ``first`` is the first row's bag
+    id and dim."""
     base = manifest_path.parent
-    first: tuple[str, int] | None = None  # (bag_id, dim) of the first bag
     for bag_id, label, rel in rows:
         feature_path = base / rel  # an absolute rel replaces base
-        if not feature_path.exists():
+        try:
+            if "\0" in rel:  # open() would raise ValueError, naming no file
+                raise FileNotFoundError
+            features = _read_features(feature_path)
+        except FileNotFoundError:
             raise FileNotFoundError(
                 f"{manifest_path}: bag {bag_id!r} references missing file {feature_path}"
-            )
-        features = _read_features(feature_path)
+            ) from None
         if first is None:
             first = (bag_id, features.shape[1])
         elif features.shape[1] != first[1]:
@@ -349,6 +360,17 @@ def iter_dataset(manifest_path: str | Path) -> Iterator[Bag]:
                 f"but bag {first[0]!r} has dim {first[1]}"
             )
         yield Bag(bag_id, label, features)
+
+
+def stored_rows(path: Path, dim: int) -> int:
+    """The patch rows a binary feature file of ``dim`` columns holds,
+    from its size alone, without reading it; 0 if it cannot be looked
+    up. A CSV feature file gets a larger count than it holds, as if its
+    text were binary."""
+    try:
+        return max(os.stat(path).st_size - _HEADER_LEN, 0) // (4 * dim)
+    except (OSError, ValueError):  # ValueError: a NUL byte in the path
+        return 0
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
@@ -363,10 +385,12 @@ __all__ = [
     "FormatError",
     "csv_reader",
     "iter_dataset",
+    "iter_rows",
     "keyed_table",
     "load_dataset",
     "load_feature_file",
     "load_manifest",
+    "stored_rows",
     "write_bytes_atomic",
     "write_csv_atomic",
     "write_feature_file",

@@ -57,6 +57,17 @@ class Rng:
     def __init__(self, seed: int) -> None:
         self._state = seed & _MASK64
 
+    @property
+    def state(self) -> int:
+        """The counter: ``Rng(rng.state)`` continues this stream."""
+        return self._state
+
+    def skip(self, n: int) -> None:
+        """Advance past ``n`` draws without computing them."""
+        if n < 0:
+            raise ValueError(f"skip count must be >= 0, got {n}")
+        self._state = (self._state + n * _GAMMA) & _MASK64
+
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
         return mix64(self._state)
@@ -74,7 +85,7 @@ class Rng:
             z ^= np.right_shift(z, np.uint64(shift), out=t)
             z *= np.uint64(mult)
         z ^= np.right_shift(z, np.uint64(31), out=t)
-        self._state = (self._state + n * _GAMMA) & _MASK64
+        self.skip(n)
         return z
 
     def uniform(self) -> float:

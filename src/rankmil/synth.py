@@ -11,6 +11,13 @@ also fold in ``stream_id``. Generating a second dataset with the same
 seed but a different ``stream_id`` therefore yields fresh bags that
 share the same planted signal - exactly what a train/validation pair
 needs.
+
+Every bag is a pure function of the config and its starting state in
+the counter-based :class:`~rankmil.numerics.Rng` stream, which
+:func:`plan_bags` works out for all bags up front. :func:`iter_bags`
+draws the bags one after another from their plans; :func:`write_synth`,
+which the ``synth`` command runs, writes the same files and, on large
+configs, splits the bags over forked worker processes.
 """
 
 from __future__ import annotations
@@ -18,12 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .data import Bag, Dataset, write_feature_file, write_manifest
 from .numerics import Rng, ceil_frac, derive
+from .parallel import map_chunks, worker_count
 
 # Substream salts, fixed forever alongside the generator constants.
 _DIRECTION_SALT = 0x64697265  # "dire"
@@ -71,32 +79,71 @@ def signal_direction(seed: int, dim: int) -> np.ndarray:
             return v / norm
 
 
-def iter_bags(cfg: SynthConfig) -> Iterator[Bag]:
-    """Generate positives first, then negatives, deterministically, one
-    bag at a time.
+class BagPlan(NamedTuple):
+    """Where one bag of a :class:`SynthConfig` sits in its random stream."""
 
-    Per bag, the draw order is: patch count, then all K*dim background
-    values row-major, then (positive bags only) the witness-position
-    shuffle. Witness rows are background plus ``shift * u``.
-    """
-    u = signal_direction(cfg.seed, cfg.dim)
+    bag_id: str
+    label: int
+    state: int  # the Rng state the bag's draws start from
+    patches: int
+
+
+def plan_bags(cfg: SynthConfig) -> Iterator[BagPlan]:
+    """Every bag's id, label, patch count K and starting Rng state, in
+    generation order (positives first, then negatives), drawing only
+    the patch counts. This owns the per-bag draw layout: the patch
+    count, then the K*dim background values row-major (2*ceil(K*dim/2)
+    draws, as :meth:`~rankmil.numerics.Rng.gauss_block` draws pairs),
+    then, for positive bags only, the K - 1 draws of the witness-position
+    shuffle. So any bag can be drawn on its own from its plan, in any
+    order or process."""
     rng = Rng(derive(cfg.seed, _BAG_SALT, cfg.stream_id))
     span = cfg.patches_max - cfg.patches_min + 1
     for label, count, prefix in ((1, cfg.n_pos, "pos"), (0, cfg.n_neg, "neg")):
         for i in range(count):
+            state = rng.state
             k = cfg.patches_min + rng.bounded_int(span)
-            features = rng.gauss_block(k * cfg.dim).reshape(k, cfg.dim)
-            if label == 1:
-                n_wit = ceil_frac(cfg.witness_rate, k)
-                positions = list(range(k))
-                rng.shuffle(positions)
-                features[sorted(positions[:n_wit])] += cfg.shift * u
-            yield Bag(f"{prefix}_{i:04d}", label, features)
+            yield BagPlan(f"{prefix}_{i:04d}", label, state, k)
+            rng.skip(2 * ((k * cfg.dim + 1) // 2) + (k - 1 if label == 1 else 0))
+
+
+def _draw_bag(cfg: SynthConfig, u: np.ndarray, plan: BagPlan) -> Bag:
+    """The bag at ``plan``; ``u`` is the config's signal direction.
+    Witness rows are background plus ``shift * u``."""
+    rng = Rng(plan.state)
+    rng.skip(1)  # the patch count, drawn by plan_bags
+    k = plan.patches
+    features = rng.gauss_block(k * cfg.dim).reshape(k, cfg.dim)
+    if plan.label == 1:
+        n_wit = ceil_frac(cfg.witness_rate, k)
+        positions = list(range(k))
+        rng.shuffle(positions)
+        features[sorted(positions[:n_wit])] += cfg.shift * u
+    return Bag(plan.bag_id, plan.label, features)
+
+
+def iter_bags(cfg: SynthConfig) -> Iterator[Bag]:
+    """Generate the bags of :func:`plan_bags`, deterministically, one
+    bag at a time."""
+    u = signal_direction(cfg.seed, cfg.dim)
+    for plan in plan_bags(cfg):
+        yield _draw_bag(cfg, u, plan)
 
 
 def generate(cfg: SynthConfig) -> Dataset:
     """All of :func:`iter_bags` in memory."""
     return Dataset(tuple(iter_bags(cfg)), cfg.dim)
+
+
+def _write_features(bags: Iterable[Bag], out_dir: Path) -> list[tuple[str, int, str]]:
+    """Write one feature file per bag, taking the bags one at a time;
+    returns their manifest rows."""
+    rows: list[tuple[str, int, str]] = []
+    for bag in bags:
+        rel = f"{bag.bag_id}.milf"
+        write_feature_file(out_dir / rel, bag.features)
+        rows.append((bag.bag_id, bag.label, rel))
+    return rows
 
 
 def write_dataset(bags: Iterable[Bag], out_dir: str | Path) -> list[tuple[str, int, str]]:
@@ -107,13 +154,38 @@ def write_dataset(bags: Iterable[Bag], out_dir: str | Path) -> list[tuple[str, i
     content are byte-identical."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[tuple[str, int, str]] = []
-    for bag in bags:
-        rel = f"{bag.bag_id}.milf"
-        write_feature_file(out_dir / rel, bag.features)
-        rows.append((bag.bag_id, bag.label, rel))
+    rows = _write_features(bags, out_dir)
     write_manifest(out_dir / "manifest.csv", rows)
     return rows
 
 
-__all__ = ["SynthConfig", "generate", "iter_bags", "signal_direction", "write_dataset"]
+def write_synth(cfg: SynthConfig, out_dir: str | Path) -> list[tuple[str, int, str]]:
+    """``write_dataset(iter_bags(cfg), out_dir)``, the same bytes, with
+    the bags drawn and written by forked worker processes when there are
+    enough patch rows for it (see :mod:`rankmil.parallel`). Each process
+    holds one bag at a time, and the manifest is written last, after
+    every process has written its bags."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    plans = list(plan_bags(cfg))
+    u = signal_direction(cfg.seed, cfg.dim)
+
+    def write_chunk(start: int, chunk: Sequence[BagPlan]) -> list[tuple[str, int, str]]:
+        return _write_features((_draw_bag(cfg, u, plan) for plan in chunk), out_dir)
+
+    parts = map_chunks(plans, write_chunk, worker_count(plan.patches for plan in plans))
+    rows = [row for part in parts for row in part]
+    write_manifest(out_dir / "manifest.csv", rows)
+    return rows
+
+
+__all__ = [
+    "BagPlan",
+    "SynthConfig",
+    "generate",
+    "iter_bags",
+    "plan_bags",
+    "signal_direction",
+    "write_dataset",
+    "write_synth",
+]

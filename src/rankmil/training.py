@@ -153,7 +153,8 @@ class Adam:
 def score_dataset(params: ModelParams, bags: Iterable[Bag], fraction: float) -> list[BagScore]:
     """Score every bag in iteration order, consuming ``bags`` one at a
     time, through one hidden-layer buffer that grows only when a larger
-    bag arrives."""
+    bag arrives. The ``score`` command calls this once per worker process
+    on large manifests, each call on its own contiguous share of bags."""
     buf = np.empty((0, params.hidden))
     scores: list[BagScore] = []
     for bag in bags:

@@ -299,6 +299,13 @@ def test_load_dataset_duplicate_and_missing(tmp_path):
     write_manifest(manifest, [("a", 1, "gone.milf")])
     with pytest.raises(FileNotFoundError, match="gone.milf"):
         load_dataset(manifest)
+    # open() rejects a NUL byte with ValueError; it is still a missing file.
+    write_manifest(manifest, [("a", 1, "x\0y.milf")])
+    with pytest.raises(FileNotFoundError) as info:
+        load_dataset(manifest)
+    assert str(info.value) == (
+        f"{manifest}: bag 'a' references missing file {manifest.parent / 'x'}\0y.milf"
+    )
 
 
 def test_load_dataset_empty_manifest(tmp_path):

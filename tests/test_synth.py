@@ -7,8 +7,15 @@ import pytest
 from rankmil.data import load_dataset
 from rankmil.metrics import auc
 from rankmil.model import aggregate_topk, sigmoid
-from rankmil.numerics import ceil_frac
-from rankmil.synth import SynthConfig, generate, iter_bags, signal_direction, write_dataset
+from rankmil.numerics import Rng, ceil_frac, derive
+from rankmil.synth import (
+    SynthConfig,
+    generate,
+    iter_bags,
+    plan_bags,
+    signal_direction,
+    write_dataset,
+)
 
 
 def _small(**overrides):
@@ -159,3 +166,52 @@ def test_failed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
     assert "manifest.csv" not in names
     assert all(name.endswith(".milf") for name in names)
     assert len(names) == _small().n_pos + _small().n_neg
+
+
+def _sequential_bags(cfg):
+    """The generator as one sequential loop over one Rng, kept as the
+    reference for :func:`plan_bags`: yields ``(state before the bag's
+    first draw, bag id, label, features)``."""
+    u = signal_direction(cfg.seed, cfg.dim)
+    rng = Rng(derive(cfg.seed, 0x62616773, cfg.stream_id))
+    span = cfg.patches_max - cfg.patches_min + 1
+    for label, count, prefix in ((1, cfg.n_pos, "pos"), (0, cfg.n_neg, "neg")):
+        for i in range(count):
+            state = rng.state
+            k = cfg.patches_min + rng.bounded_int(span)
+            features = rng.gauss_block(k * cfg.dim).reshape(k, cfg.dim)
+            if label == 1:
+                n_wit = ceil_frac(cfg.witness_rate, k)
+                positions = list(range(k))
+                rng.shuffle(positions)
+                features[sorted(positions[:n_wit])] += cfg.shift * u
+            yield state, f"{prefix}_{i:04d}", label, features
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"dim": 3, "patches_min": 5, "patches_max": 9},  # odd K*dim for odd K
+        {"dim": 1},
+        {"patches_min": 1, "patches_max": 1},
+        {"dim": 1, "patches_min": 1, "patches_max": 1},
+        {"witness_rate": 1.0},
+        {"n_neg": 0},
+        {"n_pos": 0},
+        {"n_pos": 0, "n_neg": 0},
+        {"stream_id": 1},
+    ],
+)
+def test_plan_matches_the_sequential_generator(overrides):
+    cfg = _small(**overrides)
+    expected = list(_sequential_bags(cfg))
+    plans = list(plan_bags(cfg))
+    assert [(p.state, p.bag_id, p.label, p.patches) for p in plans] == [
+        (state, bag_id, label, f.shape[0]) for state, bag_id, label, f in expected
+    ]
+    bags = list(iter_bags(cfg))
+    assert len(bags) == len(expected)
+    for bag, (_, bag_id, label, features) in zip(bags, expected):
+        assert (bag.bag_id, bag.label) == (bag_id, label)
+        assert bag.features.tobytes() == features.tobytes()
