@@ -12,7 +12,6 @@ from .data import (
     Bag,
     Dataset,
     FormatError,
-    iter_dataset,
     load_dataset,
     load_feature_file,
     load_manifest,
@@ -58,7 +57,7 @@ from .model import (
     score_bag,
 )
 from .numerics import Rng, ceil_frac, derive
-from .synth import SynthConfig, generate, iter_bags, signal_direction, write_dataset
+from .synth import SynthConfig, generate, signal_direction
 from .training import (
     Adam,
     EpochStats,

@@ -5,7 +5,7 @@ with a single binary label. These file formats live here:
 
 feature file (binary)
     magic ``MILF`` | patch count K: u32 LE | feature dim D: u32 LE |
-    K*D float32 LE, row-major. :func:`iter_dataset` and
+    K*D float32 LE, row-major. :func:`iter_rows` and
     :func:`load_dataset` keep a bag's values as the file's float32, half
     the memory of float64; :func:`load_feature_file` widens them to
     float64. Both are exact, and writing narrows back, so load -> write
@@ -235,49 +235,43 @@ def _read_features(path: Path) -> np.ndarray:
 
 
 @contextmanager
-def csv_reader(path: str | Path) -> Iterator:
-    """A ``csv.reader`` over a UTF-8 file. Inside the block, a malformed
+def keyed_table(path: str | Path, what: str) -> Iterator:
+    """Read a keyed table (see the module docstring) of a UTF-8 file.
+    Yields ``(header, rows)``, ``rows`` a lazy generator of ``(line
+    number, fields)`` per non-blank row, the line number being that of
+    the row's first line (a quoted field may span lines). A broken rule
+    raises :class:`FormatError` naming the file and the row's line; an
+    empty file, ``"<path>: empty <what>"``. Inside the block, a malformed
     record (say, a field over the csv module's size limit) or bytes that
     are not UTF-8 raise :class:`FormatError` naming the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield csv.reader(fh)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty {what}")
+
+            def rows() -> Iterator[tuple[int, list[str]]]:
+                seen: set[str] = set()
+                start = reader.line_num + 1
+                for row in reader:
+                    lineno, start = start, reader.line_num + 1
+                    if row == []:
+                        continue
+                    if len(row) != len(header):
+                        raise FormatError(
+                            f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+                        )
+                    if not row[0]:
+                        raise FormatError(f"{path}: line {lineno}: empty bag_id")
+                    if row[0] in seen:
+                        raise FormatError(f"{path}: line {lineno}: duplicate bag_id {row[0]!r}")
+                    seen.add(row[0])
+                    yield lineno, row
+
+            yield header, rows()
     except (csv.Error, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from None
-
-
-@contextmanager
-def keyed_table(path: str | Path, what: str) -> Iterator:
-    """Read a keyed table (see the module docstring) inside a
-    :func:`csv_reader` block. Yields ``(header, rows)``, ``rows`` a lazy
-    generator of ``(line number, fields)`` per non-blank row, the line
-    number being that of the row's first line (a quoted field may span
-    lines). A broken rule raises :class:`FormatError` naming the file and
-    the row's line; an empty file, ``"<path>: empty <what>"``."""
-    with csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None:
-            raise FormatError(f"{path}: empty {what}")
-
-        def rows() -> Iterator[tuple[int, list[str]]]:
-            seen: set[str] = set()
-            start = reader.line_num + 1
-            for row in reader:
-                lineno, start = start, reader.line_num + 1
-                if row == []:
-                    continue
-                if len(row) != len(header):
-                    raise FormatError(
-                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                if not row[0]:
-                    raise FormatError(f"{path}: line {lineno}: empty bag_id")
-                if row[0] in seen:
-                    raise FormatError(f"{path}: line {lineno}: duplicate bag_id {row[0]!r}")
-                seen.add(row[0])
-                yield lineno, row
-
-        yield header, rows()
 
 
 def load_manifest(path: str | Path) -> list[tuple[str, int, str]]:
@@ -306,7 +300,7 @@ def write_csv_atomic(path: str | Path, rows: Iterable[Sequence[object]]) -> None
     """Write CSV rows, header first, as UTF-8 with LF line endings,
     atomically (see :func:`write_bytes_atomic`). A field that holds a
     comma, a double quote, a line feed or a carriage return is quoted,
-    so :func:`csv_reader` gives the same fields back."""
+    so :func:`keyed_table` gives the same fields back."""
     lines: list[str] = []
     # csv.writer quotes a field holding a character of its line terminator:
     # "\r\n" makes it quote a bare "\r" too, and each line is cut to "\n".
@@ -320,27 +314,16 @@ def write_manifest(path: str | Path, rows: list[tuple[str, int, str]]) -> None:
     write_csv_atomic(path, [("bag_id", "label", "path"), *rows])
 
 
-def iter_dataset(manifest_path: str | Path) -> Iterator[Bag]:
-    """Yield every bag referenced by a manifest, in manifest order,
-    reading each feature file only when its bag is requested. A binary
-    file's bag keeps its float32 values (see the module docstring).
-
-    The manifest is parsed before the first bag is yielded, so a
-    malformed manifest, a duplicate ``bag_id`` included, raises before
-    any bag is read. A missing file, a malformed file or a bag whose dim
-    differs from the first bag's raises when the iteration reaches it.
-    """
-    manifest_path = Path(manifest_path)
-    yield from iter_rows(manifest_path, load_manifest(manifest_path))
-
-
 def iter_rows(
     manifest_path: Path, rows: Sequence[tuple[str, int, str]], first: tuple[str, int] | None = None
 ) -> Iterator[Bag]:
-    """The bags of some of a manifest's ``rows``, as :func:`iter_dataset`
-    yields them. Each bag's dim must equal ``first[1]``, and an error
-    names bag ``first[0]``; by default ``first`` is the first row's bag
-    id and dim."""
+    """Yield the bags of some of a manifest's ``rows``, in order, reading
+    each feature file only when its bag is requested; a binary file's bag
+    keeps its float32 values (see the module docstring). Each bag's dim
+    must equal ``first[1]``, and an error names bag ``first[0]``; by
+    default ``first`` is the first row's bag id and dim. A missing or
+    malformed file, or a dim that differs, raises when its bag is
+    reached."""
     base = manifest_path.parent
     for bag_id, label, rel in rows:
         feature_path = base / rel  # an absolute rel replaces base
@@ -374,8 +357,11 @@ def stored_rows(path: Path, dim: int) -> int:
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load every bag referenced by a manifest, in manifest order."""
-    bags = tuple(iter_dataset(manifest_path))
+    """Load every bag referenced by a manifest, in manifest order. The
+    manifest is parsed first, so a malformed one, a duplicate ``bag_id``
+    included, raises before any feature file is read."""
+    manifest_path = Path(manifest_path)
+    bags = tuple(iter_rows(manifest_path, load_manifest(manifest_path)))
     return Dataset(bags, bags[0].dim if bags else 0)
 
 
@@ -383,8 +369,6 @@ __all__ = [
     "Bag",
     "Dataset",
     "FormatError",
-    "csv_reader",
-    "iter_dataset",
     "iter_rows",
     "keyed_table",
     "load_dataset",

@@ -14,9 +14,9 @@ needs.
 
 Every bag is a pure function of the config and its starting state in
 the counter-based :class:`~rankmil.numerics.Rng` stream, which
-:func:`plan_bags` works out for all bags up front. :func:`iter_bags`
-draws the bags one after another from their plans; :func:`write_synth`,
-which the ``synth`` command runs, writes the same files and, on large
+:func:`plan_bags` works out for all bags up front. :func:`generate`
+draws every bag in memory from its plan; :func:`write_synth`, which the
+``synth`` command runs, draws and writes one bag at a time and, on large
 configs, splits the bags over forked worker processes.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,59 +122,32 @@ def _draw_bag(cfg: SynthConfig, u: np.ndarray, plan: BagPlan) -> Bag:
     return Bag(plan.bag_id, plan.label, features)
 
 
-def iter_bags(cfg: SynthConfig) -> Iterator[Bag]:
-    """Generate the bags of :func:`plan_bags`, deterministically, one
-    bag at a time."""
-    u = signal_direction(cfg.seed, cfg.dim)
-    for plan in plan_bags(cfg):
-        yield _draw_bag(cfg, u, plan)
-
-
 def generate(cfg: SynthConfig) -> Dataset:
-    """All of :func:`iter_bags` in memory."""
-    return Dataset(tuple(iter_bags(cfg)), cfg.dim)
-
-
-def _write_features(bags: Iterable[Bag], out_dir: Path) -> list[tuple[str, int, str]]:
-    """Write one feature file per bag, taking the bags one at a time;
-    returns their manifest rows."""
-    rows: list[tuple[str, int, str]] = []
-    for bag in bags:
-        rel = f"{bag.bag_id}.milf"
-        write_feature_file(out_dir / rel, bag.features)
-        rows.append((bag.bag_id, bag.label, rel))
-    return rows
-
-
-def write_dataset(bags: Iterable[Bag], out_dir: str | Path) -> list[tuple[str, int, str]]:
-    """Write one feature file per bag, taking the bags one at a time,
-    then ``manifest.csv``; returns the manifest rows. The manifest is
-    written atomically after every feature file, so an interrupted write
-    never leaves a manifest naming a missing file. Reruns with identical
-    content are byte-identical."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _write_features(bags, out_dir)
-    write_manifest(out_dir / "manifest.csv", rows)
-    return rows
+    """Every bag of :func:`plan_bags`, drawn deterministically, in memory."""
+    u = signal_direction(cfg.seed, cfg.dim)
+    return Dataset(tuple(_draw_bag(cfg, u, plan) for plan in plan_bags(cfg)), cfg.dim)
 
 
 def write_synth(cfg: SynthConfig, out_dir: str | Path) -> list[tuple[str, int, str]]:
-    """``write_dataset(iter_bags(cfg), out_dir)``, the same bytes, with
-    the bags drawn and written by forked worker processes when there are
-    enough patch rows for it (see :mod:`rankmil.parallel`). Each process
-    holds one bag at a time, and the manifest is written last, after
-    every process has written its bags."""
+    """Write the bags of :func:`generate` as one feature file each, then
+    ``manifest.csv``; returns the manifest rows. The bags are drawn and
+    written by forked worker processes when there are enough patch rows
+    for it (see :mod:`rankmil.parallel`). Each process holds one bag at a
+    time. The manifest is written atomically after every feature file, so
+    an interrupted write never leaves a manifest naming a missing file.
+    Reruns are byte-identical."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     plans = list(plan_bags(cfg))
     u = signal_direction(cfg.seed, cfg.dim)
 
-    def write_chunk(start: int, chunk: Sequence[BagPlan]) -> list[tuple[str, int, str]]:
-        return _write_features((_draw_bag(cfg, u, plan) for plan in chunk), out_dir)
+    rows = [(plan.bag_id, plan.label, f"{plan.bag_id}.milf") for plan in plans]
 
-    parts = map_chunks(plans, write_chunk, worker_count(plan.patches for plan in plans))
-    rows = [row for part in parts for row in part]
+    def write_chunk(start: int, chunk: Sequence[BagPlan]) -> None:
+        for plan, (_, _, rel) in zip(chunk, rows[start:]):
+            write_feature_file(out_dir / rel, _draw_bag(cfg, u, plan).features)
+
+    map_chunks(plans, write_chunk, worker_count(plan.patches for plan in plans))
     write_manifest(out_dir / "manifest.csv", rows)
     return rows
 
@@ -183,9 +156,7 @@ __all__ = [
     "BagPlan",
     "SynthConfig",
     "generate",
-    "iter_bags",
     "plan_bags",
     "signal_direction",
-    "write_dataset",
     "write_synth",
 ]

@@ -1,7 +1,24 @@
 """Collects acceptance-test outcomes and prints one line per criterion
-at the end of the run."""
+at the end of the run, and holds the suite's shared bag-file writer."""
 
 import re
+
+from rankmil.data import write_feature_file, write_manifest
+
+
+def write_bags(out_dir, bags):
+    """Write ``bags`` as one binary feature file each plus
+    ``manifest.csv`` in ``out_dir``; returns the manifest's path."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for bag in bags:
+        rel = f"{bag.bag_id}.milf"
+        write_feature_file(out_dir / rel, bag.features)
+        rows.append((bag.bag_id, bag.label, rel))
+    manifest = out_dir / "manifest.csv"
+    write_manifest(manifest, rows)
+    return manifest
+
 
 _CRITERIA = {
     1: "loss correctness",

@@ -2,9 +2,9 @@
 (covariate table, score CSV, manifest, binary and text feature files,
 checkpoint):
 the readers either load the file or raise FormatError, never any other
-exception. Random text written by the CSV writer reads back as the same
-fields. And the covariate table's fast reader gives the row reader's
-table, or leaves the file to it."""
+exception. A keyed table of random text written by the CSV writer reads
+back as the same fields. And the covariate table's fast reader gives the
+row reader's table, or leaves the file to it."""
 
 import struct
 import tempfile
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from rankmil.cli import _read_score_csv
 from rankmil.data import (
     FormatError,
-    csv_reader,
+    keyed_table,
     load_feature_file,
     load_manifest,
     write_csv_atomic,
@@ -124,14 +124,26 @@ def test_mutated_checkpoint_raises_only_format_error(data):
 _FIELDS = st.text(st.characters(blacklist_categories=("Cs",)))
 
 
+def _keyed_rows(width: int):
+    """A header and up to five rows of ``width`` fields, each row's first
+    field a distinct non-empty key, as a keyed table requires."""
+    fields = st.lists(_FIELDS, min_size=width - 1, max_size=width - 1)
+    rows = st.lists(
+        st.tuples(_FIELDS.filter(bool), fields), max_size=5, unique_by=lambda row: row[0]
+    ).map(lambda rows: [[key, *rest] for key, rest in rows])
+    return st.tuples(st.lists(_FIELDS, min_size=width, max_size=width), rows)
+
+
 @settings(max_examples=300, deadline=None, database=None)
-@given(st.lists(st.lists(_FIELDS, min_size=1, max_size=4), max_size=5))
-def test_written_csv_rows_read_back_identically(rows):
+@given(st.integers(1, 4).flatmap(_keyed_rows))
+def test_written_csv_rows_read_back_identically(table):
+    header, rows = table
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.csv"
-        write_csv_atomic(path, rows)
-        with csv_reader(path) as reader:
-            assert list(reader) == rows
+        write_csv_atomic(path, [header, *rows])
+        with keyed_table(path, "table") as (read_header, records):
+            assert read_header == header
+            assert [fields for _, fields in records] == rows
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -10,7 +10,7 @@ from rankmil.data import (
     Bag,
     Dataset,
     FormatError,
-    iter_dataset,
+    iter_rows,
     load_dataset,
     load_feature_file,
     load_manifest,
@@ -20,6 +20,8 @@ from rankmil.data import (
 )
 from rankmil.metrics import load_covariates
 from rankmil.numerics import Rng
+
+from conftest import write_bags
 
 
 def _bag(bag_id, label, rows):
@@ -247,22 +249,10 @@ def test_keyed_table_errors_name_the_line_a_row_starts_on(tmp_path, table):
     assert str(err.value) == f"{path}: line 4: expected 3 fields, got 2"
 
 
-def _write_dataset(tmp_path, entries):
-    """entries: list of (bag_id, label, features).  Returns manifest path."""
-    rows = []
-    for bag_id, label, features in entries:
-        rel = f"{bag_id}.milf"
-        write_feature_file(tmp_path / rel, np.asarray(features, dtype=np.float64))
-        rows.append((bag_id, label, rel))
-    manifest = tmp_path / "manifest.csv"
-    write_manifest(manifest, rows)
-    return manifest
-
-
 def test_load_dataset(tmp_path):
-    manifest = _write_dataset(
+    manifest = write_bags(
         tmp_path,
-        [("a", 1, [[1.0] * 8]), ("b", 0, [[2.0] * 8, [3.0] * 8])],
+        [_bag("a", 1, [[1.0] * 8]), _bag("b", 0, [[2.0] * 8, [3.0] * 8])],
     )
     ds = load_dataset(manifest)
     assert ds.dim == 8
@@ -286,13 +276,13 @@ def test_load_dataset_keeps_float32_file_values(tmp_path):
 
 
 def test_load_dataset_dimension_mismatch_names_both_bags(tmp_path):
-    manifest = _write_dataset(tmp_path, [("a", 1, [[1.0] * 8]), ("b", 0, [[1.0] * 16])])
+    manifest = write_bags(tmp_path, [_bag("a", 1, [[1.0] * 8]), _bag("b", 0, [[1.0] * 16])])
     with pytest.raises(ValueError, match="'b' has dim 16.*'a' has dim 8"):
         load_dataset(manifest)
 
 
 def test_load_dataset_duplicate_and_missing(tmp_path):
-    manifest = _write_dataset(tmp_path, [("a", 1, [[1.0]])])
+    manifest = write_bags(tmp_path, [_bag("a", 1, [[1.0]])])
     write_manifest(manifest, [("a", 1, "a.milf"), ("a", 0, "a.milf")])
     with pytest.raises(FormatError, match="line 3: duplicate bag_id 'a'"):
         load_dataset(manifest)
@@ -316,18 +306,18 @@ def test_load_dataset_empty_manifest(tmp_path):
     assert ds.dim == 0
 
 
-def test_iter_dataset_reads_each_file_when_its_bag_is_reached(tmp_path):
-    manifest = _write_dataset(tmp_path, [("a", 1, [[1.0] * 3]), ("b", 0, [[2.0] * 3])])
+def test_iter_rows_reads_each_file_when_its_bag_is_reached(tmp_path):
+    manifest = write_bags(tmp_path, [_bag("a", 1, [[1.0] * 3]), _bag("b", 0, [[2.0] * 3])])
     (tmp_path / "b.milf").write_bytes(b"JUNK")
-    bags = iter_dataset(manifest)
+    bags = iter_rows(manifest, load_manifest(manifest))
     assert next(bags).bag_id == "a"
     with pytest.raises(FormatError, match="bad magic"):
         next(bags)
 
 
-def test_iter_dataset_abandoned_holds_no_file(tmp_path):
-    manifest = _write_dataset(tmp_path, [("a", 1, [[1.0]]), ("b", 0, [[2.0]])])
-    bags = iter_dataset(manifest)
+def test_iter_rows_abandoned_holds_no_file(tmp_path):
+    manifest = write_bags(tmp_path, [_bag("a", 1, [[1.0]]), _bag("b", 0, [[2.0]])])
+    bags = iter_rows(manifest, load_manifest(manifest))
     next(bags)
     # A leaked handle would raise ResourceWarning, which the suite makes an error.
     del bags

@@ -1,3 +1,4 @@
+import itertools
 import os
 from pathlib import Path
 
@@ -8,14 +9,7 @@ from rankmil.data import load_dataset
 from rankmil.metrics import auc
 from rankmil.model import aggregate_topk, sigmoid
 from rankmil.numerics import Rng, ceil_frac, derive
-from rankmil.synth import (
-    SynthConfig,
-    generate,
-    iter_bags,
-    plan_bags,
-    signal_direction,
-    write_dataset,
-)
+from rankmil.synth import SynthConfig, generate, plan_bags, signal_direction, write_synth
 
 
 def _small(**overrides):
@@ -123,7 +117,7 @@ def test_oracle_scorer_confirms_learnability():
 
 def test_write_dataset_round_trip(tmp_path):
     ds = generate(_small())
-    rows = write_dataset(ds, tmp_path)
+    rows = write_synth(_small(), tmp_path)
     assert [r[0] for r in rows] == [b.bag_id for b in ds.bags]
     assert sorted(p.name for p in tmp_path.glob("*.milf")) == sorted(
         f"{b.bag_id}.milf" for b in ds.bags
@@ -139,16 +133,15 @@ def test_write_dataset_round_trip(tmp_path):
 def test_write_dataset_rerun_byte_identical(tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"
-    write_dataset(generate(_small()), first)
-    write_dataset(generate(_small()), second)
+    write_synth(_small(), first)
+    write_synth(_small(), second)
     for path in sorted(first.iterdir()):
         assert (second / path.name).read_bytes() == path.read_bytes()
 
 
-def test_iter_bags_is_lazy():
-    bags = iter_bags(_small(n_pos=1, n_neg=10**9))
-    assert next(bags).bag_id == "pos_0000"
-    assert next(bags).bag_id == "neg_0000"
+def test_plan_bags_is_lazy():
+    plans = itertools.islice(plan_bags(_small(n_pos=1, n_neg=10**9)), 2)
+    assert [plan.bag_id for plan in plans] == ["pos_0000", "neg_0000"]
 
 
 def test_failed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
@@ -161,7 +154,7 @@ def test_failed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", fail_replace)
     with pytest.raises(OSError, match="No space"):
-        write_dataset(iter_bags(_small()), tmp_path)
+        write_synth(_small(), tmp_path)
     names = os.listdir(tmp_path)
     assert "manifest.csv" not in names
     assert all(name.endswith(".milf") for name in names)
@@ -210,7 +203,7 @@ def test_plan_matches_the_sequential_generator(overrides):
     assert [(p.state, p.bag_id, p.label, p.patches) for p in plans] == [
         (state, bag_id, label, f.shape[0]) for state, bag_id, label, f in expected
     ]
-    bags = list(iter_bags(cfg))
+    bags = generate(cfg).bags
     assert len(bags) == len(expected)
     for bag, (_, bag_id, label, features) in zip(bags, expected):
         assert (bag.bag_id, bag.label) == (bag_id, label)

@@ -16,7 +16,7 @@ from rankmil.losses import (
 from rankmil.metrics import auc
 from rankmil.model import ModelParams, backward_bag, init_params, score_bag
 from rankmil.numerics import Rng, derive
-from rankmil.synth import SynthConfig, generate, write_dataset
+from rankmil.synth import SynthConfig, generate
 from rankmil.training import (
     Adam,
     EpochStats,
@@ -28,6 +28,8 @@ from rankmil.training import (
     train,
     write_train_log,
 )
+
+from conftest import write_bags
 
 
 def _loss(variant=LossVariant.TRIPLET_RANKING, **kw):
@@ -233,11 +235,9 @@ def test_non_finite_parameters_raise_training_diverged(monkeypatch, tmp_path, ca
     tr, va = _datasets()
     with pytest.raises(TrainingDiverged, match="epoch 0, unit 0: non-finite parameters"):
         train(tr, va, _config())
-    write_dataset(tr, tmp_path / "train")
-    write_dataset(va, tmp_path / "val")
     code = main([
-        "train", "--train", str(tmp_path / "train" / "manifest.csv"),
-        "--val", str(tmp_path / "val" / "manifest.csv"), "--out", str(tmp_path / "m.milm"),
+        "train", "--train", str(write_bags(tmp_path / "train", tr)),
+        "--val", str(write_bags(tmp_path / "val", va)), "--out", str(tmp_path / "m.milm"),
         "--hidden", "8", "--epochs", "2",
     ])
     assert code == 1
@@ -454,8 +454,7 @@ def _bits(stats):
 def _float32_and_float64(ds, tmp_path, name):
     """``ds`` written and loaded back, so its bags hold float32 features,
     and the same values widened into float64 bags."""
-    write_dataset(ds, tmp_path / name)
-    loaded = load_dataset(tmp_path / name / "manifest.csv")
+    loaded = load_dataset(write_bags(tmp_path / name, ds))
     assert all(bag.features.dtype == np.float32 for bag in loaded)
     widened = Dataset(
         tuple(Bag(b.bag_id, b.label, b.features.astype(np.float64)) for b in loaded), loaded.dim
