@@ -14,10 +14,9 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .data import (
-    Bag,
     FormatError,
     iter_rows,
     keyed_table,
@@ -205,18 +204,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
     manifest = Path(args.data)
     rows = load_manifest(manifest)
 
-    def score_chunk(start: int, chunk: Sequence[tuple[str, int, str]]) -> list[float]:
-        # A later chunk checks dims against the model's, naming the first
-        # bag: if that bag's dim differs, the first chunk fails before.
-        first = None if start == 0 else (rows[0][0], params.dim)
-
-        def bags() -> Iterator[Bag]:
-            for bag in iter_rows(manifest, chunk, first):
-                if bag.dim != params.dim:
-                    raise ValueError(f"data dim {bag.dim} does not match model dim {params.dim}")
-                yield bag
-
-        return [bs.score for bs in score_dataset(params, bags(), args.topk)]
+    def score_chunk(chunk: Sequence[tuple[str, int, str]]) -> list[float]:
+        return [bs.score for bs in score_dataset(params, iter_rows(manifest, chunk), args.topk)]
 
     workers = worker_count(stored_rows(manifest.parent / rel, params.dim) for _, _, rel in rows)
     scores = [s for part in map_chunks(rows, score_chunk, workers) for s in part]

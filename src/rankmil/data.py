@@ -314,16 +314,11 @@ def write_manifest(path: str | Path, rows: list[tuple[str, int, str]]) -> None:
     write_csv_atomic(path, [("bag_id", "label", "path"), *rows])
 
 
-def iter_rows(
-    manifest_path: Path, rows: Sequence[tuple[str, int, str]], first: tuple[str, int] | None = None
-) -> Iterator[Bag]:
+def iter_rows(manifest_path: Path, rows: Sequence[tuple[str, int, str]]) -> Iterator[Bag]:
     """Yield the bags of some of a manifest's ``rows``, in order, reading
     each feature file only when its bag is requested; a binary file's bag
-    keeps its float32 values (see the module docstring). Each bag's dim
-    must equal ``first[1]``, and an error names bag ``first[0]``; by
-    default ``first`` is the first row's bag id and dim. A missing or
-    malformed file, or a dim that differs, raises when its bag is
-    reached."""
+    keeps its float32 values (see the module docstring). A missing or
+    malformed file raises when its bag is reached."""
     base = manifest_path.parent
     for bag_id, label, rel in rows:
         feature_path = base / rel  # an absolute rel replaces base
@@ -335,13 +330,6 @@ def iter_rows(
             raise FileNotFoundError(
                 f"{manifest_path}: bag {bag_id!r} references missing file {feature_path}"
             ) from None
-        if first is None:
-            first = (bag_id, features.shape[1])
-        elif features.shape[1] != first[1]:
-            raise ValueError(
-                f"{manifest_path}: bag {bag_id!r} has dim {features.shape[1]}, "
-                f"but bag {first[0]!r} has dim {first[1]}"
-            )
         yield Bag(bag_id, label, features)
 
 
@@ -359,10 +347,19 @@ def stored_rows(path: Path, dim: int) -> int:
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load every bag referenced by a manifest, in manifest order. The
     manifest is parsed first, so a malformed one, a duplicate ``bag_id``
-    included, raises before any feature file is read."""
+    included, raises before any feature file is read. A bag whose dim
+    differs from the first bag's raises as soon as it is read, before
+    the next feature file is."""
     manifest_path = Path(manifest_path)
-    bags = tuple(iter_rows(manifest_path, load_manifest(manifest_path)))
-    return Dataset(bags, bags[0].dim if bags else 0)
+    bags: list[Bag] = []
+    for bag in iter_rows(manifest_path, load_manifest(manifest_path)):
+        if bags and bag.dim != bags[0].dim:
+            raise ValueError(
+                f"{manifest_path}: bag {bag.bag_id!r} has dim {bag.dim}, "
+                f"but bag {bags[0].bag_id!r} has dim {bags[0].dim}"
+            )
+        bags.append(bag)
+    return Dataset(tuple(bags), bags[0].dim if bags else 0)
 
 
 __all__ = [

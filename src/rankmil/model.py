@@ -248,7 +248,8 @@ def score_bag(
     params: ModelParams, bag: Bag, fraction: float, out: np.ndarray | None = None
 ) -> BagScore:
     """Score every patch and aggregate the top fraction. ``out`` is an
-    optional hidden-layer buffer, as for :func:`forward`."""
+    optional hidden-layer buffer, as for :func:`forward`. A bag whose dim
+    is not the model's raises ``ValueError``, naming the bag."""
     _check_dim(params, bag.dim, f"bag {bag.bag_id!r}")
     cache = forward(params, bag.features, fraction, out)
     return BagScore(bag.bag_id, cache.score, cache.patch_scores, cache.topk)

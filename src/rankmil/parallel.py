@@ -79,22 +79,20 @@ def worker_count(rows: Iterable[int]) -> int:
     return max(1, total // MIN_ROWS)
 
 
-def map_chunks(
-    items: Sequence[T], work: Callable[[int, Sequence[T]], R], workers: int
-) -> list[R]:
-    """``work(start, items[start:stop])`` for each of ``workers``
-    contiguous chunks of near-equal length (fewer if there are fewer
-    items), in order. The first chunk runs in this process, each
-    further one in a forked child; with one worker nothing forks. The
-    earliest chunk's exception is raised, a child's as it pickled it;
-    a child that ends without a result raises :class:`WorkerFailed`."""
+def map_chunks(items: Sequence[T], work: Callable[[Sequence[T]], R], workers: int) -> list[R]:
+    """``work(chunk)`` for each of ``workers`` contiguous chunks of
+    ``items`` of near-equal length (fewer if there are fewer items), in
+    order. The first chunk runs in this process, each further one in a
+    forked child; with one worker nothing forks. The earliest chunk's
+    exception is raised, a child's as it pickled it; a child that ends
+    without a result raises :class:`WorkerFailed`."""
     workers = max(1, min(workers, len(items)))
     bounds = [len(items) * i // workers for i in range(workers + 1)]
     pending: list[tuple[int, int]] = []  # (pid, read end of its pipe), in chunk order
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            pending.append(_fork(work, start, items[start:stop]))
-        results = [work(0, items[: bounds[1]])]
+            pending.append(_fork(work, items[start:stop]))
+        results = [work(items[: bounds[1]])]
         while pending:
             pid, fd = pending[0]
             data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
@@ -112,8 +110,8 @@ def map_chunks(
                 os.waitpid(pid, 0)
 
 
-def _fork(work: Callable[[int, Sequence[T]], R], start: int, chunk: Sequence[T]) -> tuple[int, int]:
-    """Fork a child that runs ``work(start, chunk)`` and writes
+def _fork(work: Callable[[Sequence[T]], R], chunk: Sequence[T]) -> tuple[int, int]:
+    """Fork a child that runs ``work(chunk)`` and writes
     ``(True, result)`` or ``(False, exception)`` to a pipe; returns the
     child's pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
@@ -128,7 +126,7 @@ def _fork(work: Callable[[int, Sequence[T]], R], start: int, chunk: Sequence[T])
         try:
             os.close(read_fd)
             try:
-                reply = (True, work(start, chunk))
+                reply = (True, work(chunk))
             except Exception as exc:  # sent to the parent, which raises it
                 reply = (False, exc)
             with open(write_fd, "wb") as fh:

@@ -143,11 +143,11 @@ def write_synth(cfg: SynthConfig, out_dir: str | Path) -> list[tuple[str, int, s
 
     rows = [(plan.bag_id, plan.label, f"{plan.bag_id}.milf") for plan in plans]
 
-    def write_chunk(start: int, chunk: Sequence[BagPlan]) -> None:
-        for plan, (_, _, rel) in zip(chunk, rows[start:]):
+    def write_chunk(chunk: Sequence[tuple[BagPlan, tuple[str, int, str]]]) -> None:
+        for plan, (_, _, rel) in chunk:
             write_feature_file(out_dir / rel, _draw_bag(cfg, u, plan).features)
 
-    map_chunks(plans, write_chunk, worker_count(plan.patches for plan in plans))
+    map_chunks(list(zip(plans, rows)), write_chunk, worker_count(plan.patches for plan in plans))
     write_manifest(out_dir / "manifest.csv", rows)
     return rows
 

@@ -13,9 +13,10 @@ to three bags; each bag gets one :func:`~rankmil.model.forward` per
 step, the variant's loss maps the bag scores to one upstream gradient
 per bag, and :func:`~rankmil.model.backward` reuses the top-k rows each
 forward cached, skipping bags whose upstream is exactly zero. Every
-forward of a step and of validation writes its hidden layer into one
-buffer, sized to the largest training or validation bag. The optimizer
-updates the model's flat parameter vector in place.
+forward of a step writes its hidden layer into one buffer, sized to the
+largest training bag. Validation scores through :func:`score_dataset`,
+as the ``score`` command does. The optimizer updates the model's flat
+parameter vector in place.
 """
 
 from __future__ import annotations
@@ -153,8 +154,11 @@ class Adam:
 def score_dataset(params: ModelParams, bags: Iterable[Bag], fraction: float) -> list[BagScore]:
     """Score every bag in iteration order, consuming ``bags`` one at a
     time, through one hidden-layer buffer that grows only when a larger
-    bag arrives. The ``score`` command calls this once per worker process
-    on large manifests, each call on its own contiguous share of bags."""
+    bag arrives. A bag whose dim is not the model's raises when it is
+    reached (see :func:`~rankmil.model.score_bag`). :func:`train` scores
+    its validation set through this once per epoch; the ``score``
+    command calls it once per worker process on large manifests, each
+    call on its own contiguous share of bags."""
     buf = np.empty((0, params.hidden))
     scores: list[BagScore] = []
     for bag in bags:
@@ -164,8 +168,8 @@ def score_dataset(params: ModelParams, bags: Iterable[Bag], fraction: float) -> 
     return scores
 
 
-def _val_auc(params: ModelParams, ds_val: Dataset, fraction: float, buf: np.ndarray) -> float:
-    scores = [forward(params, bag.features, fraction, buf[: bag.n_patches]).score for bag in ds_val]
+def _val_auc(params: ModelParams, ds_val: Dataset, fraction: float) -> float:
+    scores = [bs.score for bs in score_dataset(params, ds_val, fraction)]
     return auc(scores, [bag.label for bag in ds_val])
 
 
@@ -229,8 +233,7 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
     else:
         opt = Sgd(cfg.learning_rate)
     frac = cfg.topk_fraction
-    # A validation bag can be larger than every training bag.
-    buf = np.empty((max(bag.n_patches for bag in (*ds_train, *ds_val)), cfg.hidden))
+    buf = np.empty((max(bag.n_patches for bag in ds_train), cfg.hidden))
 
     history: list[EpochStats] = []
     best_auc = -math.inf
@@ -261,7 +264,7 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
                 raise TrainingDiverged(f"epoch {epoch}, unit {unit}: non-finite parameters")
 
         try:
-            val_auc = _val_auc(params, ds_val, frac, buf)
+            val_auc = _val_auc(params, ds_val, frac)
         except FloatingPointError as exc:
             raise TrainingDiverged(f"epoch {epoch}, validation scoring: {exc}") from exc
         history.append(EpochStats(float(np.mean(losses)), val_auc))

@@ -171,7 +171,7 @@ def test_score_dim_mismatch_exit_1(tmp_path, capsys):
         "--data", str(other / "train" / "manifest.csv"), "--out", str(tmp_path / "s.csv"),
     ])
     assert code == 1
-    assert "data dim 5 does not match model dim 4" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: bag 'pos_0000' has dim 5, model expects 4\n"
 
 
 def test_train_dim_mismatch_exit_1(tmp_path, capsys):

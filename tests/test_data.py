@@ -281,6 +281,15 @@ def test_load_dataset_dimension_mismatch_names_both_bags(tmp_path):
         load_dataset(manifest)
 
 
+def test_load_dataset_dim_mismatch_fails_before_the_next_file_is_read(tmp_path):
+    manifest = write_bags(tmp_path, [_bag("a", 1, [[1.0] * 8]), _bag("b", 0, [[1.0] * 16])])
+    (tmp_path / "c.milf").write_bytes(b"JUNK" * 8)
+    write_manifest(manifest, [("a", 1, "a.milf"), ("b", 0, "b.milf"), ("c", 0, "c.milf")])
+    with pytest.raises(ValueError) as info:
+        load_dataset(manifest)
+    assert str(info.value) == f"{manifest}: bag 'b' has dim 16, but bag 'a' has dim 8"
+
+
 def test_load_dataset_duplicate_and_missing(tmp_path):
     manifest = write_bags(tmp_path, [_bag("a", 1, [[1.0]])])
     write_manifest(manifest, [("a", 1, "a.milf"), ("a", 0, "a.milf")])

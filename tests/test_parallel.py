@@ -57,16 +57,14 @@ def _tree(root):
 
 def test_map_chunks_splits_in_order_and_forks_one_child_per_further_chunk(forks):
     parent = os.getpid()
-    out = map_chunks(list(range(10)), lambda start, chunk: (start, list(chunk), os.getpid()), 3)
-    assert [(start, chunk) for start, chunk, _ in out] == [
-        (0, [0, 1, 2]), (3, [3, 4, 5]), (6, [6, 7, 8, 9])
-    ]
-    pids = [pid for _, _, pid in out]
+    out = map_chunks(list(range(10)), lambda chunk: (list(chunk), os.getpid()), 3)
+    assert [chunk for chunk, _ in out] == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
+    pids = [pid for _, pid in out]
     assert pids[0] == parent and parent not in pids[1:] and len(set(pids)) == 3
     assert forks.count == 2
     # More workers than items: one item each. No items: one call, no fork.
-    assert map_chunks(["a", "b"], lambda start, chunk: list(chunk), 5) == [["a"], ["b"]]
-    assert map_chunks([], lambda start, chunk: list(chunk), 3) == [[]]
+    assert map_chunks(["a", "b"], lambda chunk: list(chunk), 5) == [["a"], ["b"]]
+    assert map_chunks([], lambda chunk: list(chunk), 3) == [[]]
     assert forks.count == 3
 
 
@@ -100,18 +98,18 @@ def test_worker_count_is_1_while_another_thread_runs(monkeypatch):
 
 
 def test_earliest_failing_chunk_wins():
-    def work(start, chunk):
-        if start in (2, 4):
-            raise ValueError(f"chunk at {start}")
+    def work(chunk):
+        if chunk[0] in (2, 4):
+            raise ValueError(f"chunk at {chunk[0]}")
         return list(chunk)
 
     with pytest.raises(ValueError, match="^chunk at 2$"):
         map_chunks(list(range(6)), work, 3)
 
-    def parent_fails_too(start, chunk):
-        if start == 0:
+    def parent_fails_too(chunk):
+        if chunk[0] == 0:
             raise KeyError("parent")
-        return work(start, chunk)
+        return work(chunk)
 
     with pytest.raises(KeyError, match="parent"):
         map_chunks(list(range(6)), parent_fails_too, 3)
@@ -119,8 +117,8 @@ def test_earliest_failing_chunk_wins():
 
 @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
 def test_parent_error_kills_and_reaps_running_children(error):
-    def work(start, chunk):
-        if start == 0:
+    def work(chunk):
+        if chunk[0] == 0:
             raise error("stop")
         time.sleep(60)
         return []
@@ -132,8 +130,8 @@ def test_parent_error_kills_and_reaps_running_children(error):
 
 
 def test_killed_worker_raises_worker_failed():
-    def work(start, chunk):
-        if start:
+    def work(chunk):
+        if chunk[0]:
             os.kill(os.getpid(), signal.SIGKILL)
         return list(chunk)
 
@@ -145,7 +143,7 @@ def test_children_never_flush_the_parents_buffered_output(tmp_path):
     path = tmp_path / "out.txt"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("written once\n")  # still in the buffer when the children fork
-        assert map_chunks(list(range(4)), lambda start, chunk: len(chunk), 4) == [1, 1, 1, 1]
+        assert map_chunks(list(range(4)), lambda chunk: len(chunk), 4) == [1, 1, 1, 1]
     assert path.read_text(encoding="utf-8") == "written once\n"
 
 
@@ -261,12 +259,13 @@ def test_score_model_dim_mismatch_gives_the_serial_message(tmp_path, cohort, for
     model = tmp_path / "m4.milm"
     save_checkpoint(init_params(4, 4, Rng(1)), model)
     errors = []
-    for n in (1, 3):
+    for n in (1, 2, 3):
         forks.use(n)
         code, _, err = _score(capsys, data / "manifest.csv", model, tmp_path / "s.csv")
         assert code == 1
+        assert not (tmp_path / "s.csv").exists()
         errors.append(err)
-    assert errors[0] == errors[1] == "error: data dim 3 does not match model dim 4\n"
+    assert errors == ["error: bag 'pos_0000' has dim 3, model expects 4\n"] * 3
 
 
 def test_score_worker_killed_exits_1_without_traceback(tmp_path, cohort, forks, capsys,

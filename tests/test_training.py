@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rankmil.training as training
 from rankmil.cli import main
 from rankmil.data import Bag, Dataset, load_dataset
 from rankmil.losses import (
@@ -215,6 +216,24 @@ def test_patience_truncates_history():
     best = report.epochs[report.best_epoch].val_auc
     for st in report.epochs[report.best_epoch + 1 :]:
         assert st.val_auc <= best
+
+
+def test_validation_scores_through_score_dataset(monkeypatch):
+    """Each epoch's validation is one score_dataset call on the validation
+    set, the path the score command takes."""
+    tr, va = _datasets()
+    calls = []
+    real = training.score_dataset
+
+    def counting(params, bags, fraction):
+        calls.append(bags)
+        return real(params, bags, fraction)
+
+    monkeypatch.setattr(training, "score_dataset", counting)
+    report = train(tr, va, _config(epochs=50, patience=2))
+    assert len(report.epochs) < 50
+    assert len(calls) == len(report.epochs)
+    assert all(bags is va for bags in calls)
 
 
 def test_training_divergence_raises():
