@@ -36,7 +36,15 @@ from .metrics import (
 from .model import load_checkpoint, save_checkpoint
 from .parallel import WorkerFailed, map_chunks, worker_count
 from .synth import SynthConfig, write_synth
-from .training import TrainConfig, TrainingDiverged, score_dataset, train, write_train_log
+from .training import (
+    OPTIMIZERS,
+    TRAINABLE_LOSSES,
+    TrainConfig,
+    TrainingDiverged,
+    score_dataset,
+    train,
+    write_train_log,
+)
 
 _DATA_ERRORS = (
     FormatError,
@@ -62,6 +70,8 @@ def _ranged(kind: type, in_range, rule: str):
             raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
         if not in_range(value):
             raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
 
     return parse
@@ -88,44 +98,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic train/val dataset pair")
     p.add_argument("--out", required=True, help="output directory (train/ and val/ inside)")
-    p.add_argument("--dim", type=_pos_int, default=32)
-    p.add_argument("--pos", type=_nonneg_int, default=20, help="training positive bags")
-    p.add_argument("--neg", type=_nonneg_int, default=60, help="training negative bags")
+    p.add_argument("--dim", type=_pos_int, default=SynthConfig.dim)
+    p.add_argument("--pos", type=_nonneg_int, default=SynthConfig.n_pos,
+                   help="training positive bags")
+    p.add_argument("--neg", type=_nonneg_int, default=SynthConfig.n_neg,
+                   help="training negative bags")
     p.add_argument("--val-pos", type=_nonneg_int, default=8, help="validation positive bags")
     p.add_argument("--val-neg", type=_nonneg_int, default=20, help="validation negative bags")
-    p.add_argument("--witness-rate", type=_fraction_01, default=0.1)
-    p.add_argument("--shift", type=_nonneg_float, default=1.5)
-    p.add_argument("--patches-min", type=_pos_int, default=300)
-    p.add_argument("--patches-max", type=_pos_int, default=600)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--witness-rate", type=_fraction_01, default=SynthConfig.witness_rate)
+    p.add_argument("--shift", type=_nonneg_float, default=SynthConfig.shift)
+    p.add_argument("--patches-min", type=_pos_int, default=SynthConfig.patches_min)
+    p.add_argument("--patches-max", type=_pos_int, default=SynthConfig.patches_max)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a scorer and write a checkpoint")
     p.add_argument("--train", required=True, dest="train_manifest", metavar="MANIFEST")
     p.add_argument("--val", required=True, dest="val_manifest", metavar="MANIFEST")
     p.add_argument("--out", required=True, help="checkpoint path; log goes to <out>.log")
-    p.add_argument(
-        "--loss",
-        choices=[v.value for v in (LossVariant.TRIPLET_RANKING, LossVariant.PAIRWISE_RANKING,
-                                   LossVariant.CROSS_ENTROPY, LossVariant.MSE)],
-        default=LossVariant.TRIPLET_RANKING.value,
-    )
-    p.add_argument("--alpha1", type=_nonneg_float, default=0.3)
-    p.add_argument("--alpha2", type=_nonneg_float, default=0.01)
-    p.add_argument("--hidden", type=_pos_int, default=128)
-    p.add_argument("--topk", type=_fraction_01, default=0.1)
-    p.add_argument("--lr", type=_pos_float, default=1e-3)
-    p.add_argument("--epochs", type=_pos_int, default=60)
-    p.add_argument("--patience", type=_pos_int, default=20)
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
-    p.add_argument("--seed", type=int, default=1)
+    losses = [v.value for v in TRAINABLE_LOSSES]
+    p.add_argument("--loss", choices=losses, default=LossVariant.TRIPLET_RANKING.value)
+    p.add_argument("--alpha1", type=_nonneg_float, default=LossConfig.alpha1)
+    p.add_argument("--alpha2", type=_nonneg_float, default=LossConfig.alpha2)
+    p.add_argument("--hidden", type=_pos_int, default=TrainConfig.hidden)
+    p.add_argument("--topk", type=_fraction_01, default=TrainConfig.topk_fraction)
+    p.add_argument("--lr", type=_pos_float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=_pos_int, default=TrainConfig.epochs)
+    p.add_argument("--patience", type=_pos_int, default=TrainConfig.patience)
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("score", help="score a manifest with a checkpoint")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, metavar="MANIFEST")
     p.add_argument("--out", required=True, help="score CSV path")
-    p.add_argument("--topk", type=_fraction_01, default=0.1)
+    p.add_argument("--topk", type=_fraction_01, default=TrainConfig.topk_fraction)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("eval", help="AUC and average precision of a score CSV")

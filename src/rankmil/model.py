@@ -35,6 +35,7 @@ from .numerics import Rng, ceil_frac
 
 _CHECKPOINT_MAGIC = b"MILM"
 _CHECKPOINT_VERSION = 1
+_HEADER_BYTES = 16  # the magic, then version, dim and hidden as u32
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -50,6 +51,11 @@ def _pack(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: float) -> np.ndarr
     """The one parameter layout, ``[w1 row-major, b1, w2, b2]``, shared by
     the model, gradients, optimizer state and the checkpoint payload."""
     return np.concatenate([np.ravel(w1), b1, w2, [b2]])
+
+
+def _n_params(dim: int, hidden: int) -> int:
+    """The length of a :func:`_pack` vector."""
+    return hidden * dim + 2 * hidden + 1
 
 
 class ModelParams:
@@ -110,7 +116,7 @@ class ModelParams:
     def from_vector(cls, vec: np.ndarray, dim: int, hidden: int) -> "ModelParams":
         """Parameters owning a float64 copy of ``vec``, which must be in
         the :func:`_pack` layout."""
-        n = hidden * dim + 2 * hidden + 1
+        n = _n_params(dim, hidden)
         if np.shape(vec) != (n,):
             raise ValueError(f"expected vector of length {n}, got shape {np.shape(vec)}")
         params = cls.__new__(cls)
@@ -282,8 +288,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise FormatError(
             f"{path}: bad magic {data[:4]!r} at byte 0, expected {_CHECKPOINT_MAGIC!r}"
         )
-    if len(data) < 16:
-        raise FormatError(f"{path}: truncated header, {len(data)} bytes (need 16)")
+    if len(data) < _HEADER_BYTES:
+        raise FormatError(f"{path}: truncated header, {len(data)} bytes (need {_HEADER_BYTES})")
     version, dim, hidden = struct.unpack_from("<III", data, 4)
     if version != _CHECKPOINT_VERSION:
         raise FormatError(
@@ -291,17 +297,16 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         )
     if dim < 1 or hidden < 1:
         raise FormatError(f"{path}: dim and hidden must be >= 1, header says {dim}, {hidden}")
-    n = hidden * dim + 2 * hidden + 1
-    expected = 16 + 8 * n
-    if len(data) != expected:
+    payload = 8 * _n_params(dim, hidden)
+    if len(data) != _HEADER_BYTES + payload:
         raise FormatError(
-            f"{path}: payload is {len(data) - 16} bytes at byte {len(data)}, "
-            f"header dim={dim} hidden={hidden} requires {expected - 16}"
+            f"{path}: payload is {len(data) - _HEADER_BYTES} bytes at byte {len(data)}, "
+            f"header dim={dim} hidden={hidden} requires {payload}"
         )
-    vec = np.frombuffer(data, dtype="<f8", offset=16)
+    vec = np.frombuffer(data, dtype="<f8", offset=_HEADER_BYTES)
     if not np.isfinite(vec).all():
         bad = int(np.flatnonzero(~np.isfinite(vec))[0])
-        raise FormatError(f"{path}: non-finite parameter at byte {16 + 8 * bad}")
+        raise FormatError(f"{path}: non-finite parameter at byte {_HEADER_BYTES + 8 * bad}")
     return ModelParams.from_vector(vec, dim, hidden)
 
 

@@ -147,3 +147,6 @@ def ceil_frac(fraction: float, n: int) -> int:
     if not (fraction >= 0.0 and math.isfinite(fraction)):
         raise ValueError(f"fraction must be >= 0 and finite, got {fraction}")
     return max(0, math.ceil(fraction * n * (1.0 - 1e-12)))
+
+
+__all__ = ["Rng", "ceil_frac", "derive", "mix64"]

@@ -47,12 +47,15 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
-_TRAINABLE = (
+# The losses train() can optimize and the optimizers it can run; the
+# CLI offers exactly these.
+TRAINABLE_LOSSES = (
     LossVariant.TRIPLET_RANKING,
     LossVariant.PAIRWISE_RANKING,
     LossVariant.CROSS_ENTROPY,
     LossVariant.MSE,
 )
+OPTIMIZERS = ("adam", "sgd")
 
 
 class TrainingDiverged(RuntimeError):
@@ -71,7 +74,7 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self) -> None:
-        if self.loss.variant not in _TRAINABLE:
+        if self.loss.variant not in TRAINABLE_LOSSES:
             raise ValueError(f"loss {self.loss.variant.value!r} is not trainable on bag scores")
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
@@ -83,8 +86,9 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if self.optimizer not in OPTIMIZERS:
+            names = " or ".join(map(repr, OPTIMIZERS))
+            raise ValueError(f"optimizer must be {names}, got {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -291,7 +295,9 @@ def write_train_log(report: TrainReport, path: str | Path) -> None:
 __all__ = [
     "Adam",
     "EpochStats",
+    "OPTIMIZERS",
     "Sgd",
+    "TRAINABLE_LOSSES",
     "TrainConfig",
     "TrainReport",
     "TrainingDiverged",

@@ -124,6 +124,14 @@ def test_flag_range_messages(tmp_path, capsys):
         (["synth", "--out", out, "--dim", "2.5"], "not an integer: '2.5'"),
         (["synth", "--out", out, "--pos", "-1"], "must be >= 0, got -1"),
         (["train", "--train", "x", "--val", "y", "--out", "z", "--lr", "0"], "must be > 0, got 0"),
+        (["synth", "--out", out, "--shift", "inf"], "must be finite, got inf"),
+        (["synth", "--out", out, "--shift", "1e309"], "must be finite, got 1e309"),
+        (["train", "--train", "x", "--val", "y", "--out", "z", "--lr", "inf"],
+         "must be finite, got inf"),
+        (["train", "--train", "x", "--val", "y", "--out", "z", "--alpha1", "inf"],
+         "must be finite, got inf"),
+        (["train", "--train", "x", "--val", "y", "--out", "z", "--alpha2", "inf"],
+         "must be finite, got inf"),
     ]
     for argv, message in cases:
         assert main(argv) == 2
