@@ -217,7 +217,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
     workers = worker_count(stored_rows(manifest.parent / rel, params.dim) for _, _, rel in rows)
     scores = [s for part in map_chunks(rows, score_chunk, workers) for s in part]
-    out_rows = [(bag_id, f"{s:.6f}", y) for (bag_id, y, _), s in zip(rows, scores)]
+    out_rows = [(bag_id, repr(s), y) for (bag_id, y, _), s in zip(rows, scores)]
     _ensure_parent(args.out)
     write_csv_atomic(args.out, [("bag_id", "score", "label"), *out_rows])
     print(f"scored {len(scores)} bags -> {args.out}")

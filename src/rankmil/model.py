@@ -7,11 +7,11 @@ during the backward pass; since the aggregate is piecewise linear in
 the patch scores, that gradient is exact everywhere selection is
 locally stable.
 
-:func:`forward` writes a bag's hidden layer into a caller-supplied
-(patches, hidden) buffer, so a training loop or a scoring pass reuses
-one allocation across bags, and returns a :class:`ForwardCache` with
-copies of the top-k rows of the features and the hidden layer, the only
-rows the gradient reads, so the buffer is free again once it returns.
+:func:`forward` writes a bag's hidden layer into the model's scratch
+array, so a training loop or a scoring pass reuses one allocation
+across bags, and returns a :class:`ForwardCache` with copies of the
+top-k rows of the features and the hidden layer, the only rows the
+gradient reads, so the scratch is free again once it returns.
 :func:`backward` takes that cache and computes the parameter gradient
 without a second forward pass.
 :func:`score_bag` and :func:`backward_bag` wrap the two for one bag.
@@ -63,7 +63,11 @@ class ModelParams:
     (hidden,) and scalar ``b2``, owned by one C-contiguous float64 vector
     ``vec`` in the :func:`_pack` layout. ``w1``, ``b1`` and ``w2`` are
     views into ``vec`` and ``b2`` reads its last element, so writing
-    ``vec`` in place updates every one of them."""
+    ``vec`` in place updates every one of them. :func:`forward` writes
+    into the model's hidden-layer scratch, grown to the largest bag the
+    model has scored and kept until the model is freed; :meth:`copy` and
+    :meth:`from_vector` start with an empty one. Single-owner: one
+    instance must not be shared across concurrent callers."""
 
     def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: float) -> None:
         w1 = np.asarray(w1, dtype=np.float64)
@@ -88,6 +92,15 @@ class ModelParams:
         self.w1 = vec[:n_w1].reshape(hidden, dim)
         self.b1 = vec[n_w1 : n_w1 + hidden]
         self.w2 = vec[n_w1 + hidden : n_w1 + 2 * hidden]
+        self._scratch = np.empty((0, hidden))
+
+    def _hidden_rows(self, n: int) -> np.ndarray:
+        """The first ``n`` rows of the scratch. A smaller scratch is dropped
+        before a larger one is allocated, so only one is ever alive."""
+        if n > self._scratch.shape[0]:
+            del self._scratch
+            self._scratch = np.empty((n, self.hidden))
+        return self._scratch[:n]
 
     @property
     def b2(self) -> float:
@@ -183,7 +196,7 @@ class ForwardCache:
 
     ``features`` and ``hidden`` are the (m, dim) float64 input of the
     first layer and the (m, hidden) relu activation at the m rows of
-    ``topk``, in its ascending order: copies, so the caller's buffer
+    ``topk``, in its ascending order: copies, so the model's scratch
     may be written again.
     """
 
@@ -194,9 +207,7 @@ class ForwardCache:
     score: float
 
 
-def forward(
-    params: ModelParams, features: np.ndarray, fraction: float, out: np.ndarray | None = None
-) -> ForwardCache:
+def forward(params: ModelParams, features: np.ndarray, fraction: float) -> ForwardCache:
     """Score one bag's (patches, dim) features and keep the activations
     for :func:`backward`.
 
@@ -205,14 +216,12 @@ def forward(
     values and gives the same bits as for float64 features; the cache
     keeps the widened top-k rows, so :func:`backward` runs in float64 too.
 
-    The hidden layer is written into ``out``, a C-contiguous float64
-    array of shape (patches, hidden); pass a slice of a buffer reused
-    across calls to avoid allocating one per bag. With ``out=None`` a
-    fresh one is allocated.
+    The (patches, hidden) hidden layer is written into the first rows of
+    the model's scratch (see :class:`ModelParams`), which grows first if
+    the bag is larger than any before it.
     """
     features = features.astype(np.float64, copy=False)
-    if out is None:
-        out = np.empty((features.shape[0], params.hidden))
+    out = params._hidden_rows(features.shape[0])
     np.matmul(features, params.w1.T, out=out)
     np.add(out, params.b1, out=out)
     np.maximum(out, 0.0, out=out)
@@ -250,25 +259,19 @@ def backward(params: ModelParams, cache: ForwardCache, upstream: float) -> np.nd
     return _pack(d_w1, d_b1, d_w2, d_b2)
 
 
-def score_bag(
-    params: ModelParams, bag: Bag, fraction: float, out: np.ndarray | None = None
-) -> BagScore:
-    """Score every patch and aggregate the top fraction. ``out`` is an
-    optional hidden-layer buffer, as for :func:`forward`. A bag whose dim
-    is not the model's raises ``ValueError``, naming the bag."""
+def score_bag(params: ModelParams, bag: Bag, fraction: float) -> BagScore:
+    """Score every patch and aggregate the top fraction, through the
+    model's scratch as :func:`forward` does. A bag whose dim is not the
+    model's raises ``ValueError``, naming the bag."""
     _check_dim(params, bag.dim, f"bag {bag.bag_id!r}")
-    cache = forward(params, bag.features, fraction, out)
+    cache = forward(params, bag.features, fraction)
     return BagScore(bag.bag_id, cache.score, cache.patch_scores, cache.topk)
 
 
 def backward_bag(params: ModelParams, bag: Bag, fraction: float, upstream: float) -> np.ndarray:
     """Gradient of ``upstream * bag_score`` w.r.t. the flattened
-    parameters: :func:`forward` then :func:`backward`. A zero upstream
-    gives zeros without a forward pass.
-    """
+    parameters: :func:`forward` then :func:`backward`."""
     _check_dim(params, bag.dim, f"bag {bag.bag_id!r}")
-    if upstream == 0.0:
-        return np.zeros(params.n_params)
     return backward(params, forward(params, bag.features, fraction), upstream)
 
 

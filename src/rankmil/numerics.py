@@ -141,7 +141,7 @@ class Rng:
 
 def ceil_frac(fraction: float, n: int) -> int:
     """``ceil(fraction * n)`` guarded against the product landing one
-    ulp above an exact integer (0.1 * 30 == 3.0000000000000004)."""
+    ulp above an exact integer (0.07 * 100 == 7.000000000000001)."""
     if n < 0:
         raise ValueError(f"count must be >= 0, got {n}")
     if not (fraction >= 0.0 and math.isfinite(fraction)):

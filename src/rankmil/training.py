@@ -12,10 +12,10 @@ Every objective runs through one step loop. A unit is a tuple of one
 to three bags; each bag gets one :func:`~rankmil.model.forward` per
 step, the variant's loss maps the bag scores to one upstream gradient
 per bag, and :func:`~rankmil.model.backward` reuses the top-k rows each
-forward cached, skipping bags whose upstream is exactly zero. Every
-forward of a step writes its hidden layer into one buffer, sized to the
-largest training bag. Validation scores through :func:`score_dataset`,
-as the ``score`` command does. The optimizer updates the model's flat
+forward cached, skipping bags whose upstream is exactly zero. Training
+steps and validation write their hidden layers into the model's one
+scratch array. Validation scores through :func:`score_dataset`, as the
+``score`` command does. The optimizer updates the model's flat
 parameter vector in place.
 """
 
@@ -157,19 +157,13 @@ class Adam:
 
 def score_dataset(params: ModelParams, bags: Iterable[Bag], fraction: float) -> list[BagScore]:
     """Score every bag in iteration order, consuming ``bags`` one at a
-    time, through one hidden-layer buffer that grows only when a larger
-    bag arrives. A bag whose dim is not the model's raises when it is
-    reached (see :func:`~rankmil.model.score_bag`). :func:`train` scores
-    its validation set through this once per epoch; the ``score``
-    command calls it once per worker process on large manifests, each
-    call on its own contiguous share of bags."""
-    buf = np.empty((0, params.hidden))
-    scores: list[BagScore] = []
-    for bag in bags:
-        if bag.n_patches > buf.shape[0]:
-            buf = np.empty((bag.n_patches, params.hidden))
-        scores.append(score_bag(params, bag, fraction, buf[: bag.n_patches]))
-    return scores
+    time through :func:`~rankmil.model.score_bag`, so the model's
+    hidden-layer scratch grows only when a larger bag arrives. A bag
+    whose dim is not the model's raises when it is reached.
+    :func:`train` scores its validation set through this once per epoch;
+    the ``score`` command calls it once per worker process on large
+    manifests, each call on its own contiguous share of bags."""
+    return [score_bag(params, bag, fraction) for bag in bags]
 
 
 def _val_auc(params: ModelParams, ds_val: Dataset, fraction: float) -> float:
@@ -237,7 +231,6 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
     else:
         opt = Sgd(cfg.learning_rate)
     frac = cfg.topk_fraction
-    buf = np.empty((max(bag.n_patches for bag in ds_train), cfg.hidden))
 
     history: list[EpochStats] = []
     best_auc = -math.inf
@@ -250,7 +243,7 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
         units = _epoch_units(cfg.loss.variant, ds_train, rng)
         for unit, bags in enumerate(units):
             try:
-                caches = [forward(params, bag.features, frac, buf[: bag.n_patches]) for bag in bags]
+                caches = [forward(params, bag.features, frac) for bag in bags]
                 loss = _unit_loss(bags, [c.score for c in caches], cfg.loss)
                 grad = np.zeros(vec.size)
                 for cache, upstream in zip(caches, loss.grads):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rankmil
@@ -72,7 +73,7 @@ def test_pipeline_and_reported_auc_consistency(tmp_path, capsys):
     assert len(lines) == 6
     for line in lines[1:]:
         bag_id, score, label = line.split(",")
-        assert len(score.split(".")[1]) == 6
+        assert repr(float(score)) == score  # the exact float, shortest text
         assert label in ("0", "1")
 
     # The checkpoint holds the best-validation-AUC parameters, so
@@ -228,8 +229,52 @@ def test_score_streams_to_the_bytes_of_a_loaded_dataset(tmp_path):
     ds = load_dataset(manifest)
     scored = score_dataset(load_checkpoint(model), ds, 0.2)
     want = ["bag_id,score,label"]
-    want += [f"{bs.bag_id},{bs.score:.6f},{bag.label}" for bs, bag in zip(scored, ds)]
+    want += [f"{bs.bag_id},{bs.score!r},{bag.label}" for bs, bag in zip(scored, ds)]
     assert out.read_text() == "\n".join(want) + "\n"
+
+
+def test_eval_of_a_score_csv_matches_the_in_memory_scores_exactly(tmp_path, monkeypatch):
+    """The score CSV holds each score's exact float, so eval's AUC and AP
+    equal those of the in-memory scores, bit for bit. The cohort has an
+    exact tie across the classes (a bag and its copy) and a near tie (a
+    bag and a copy one float32 step away in one value), which six
+    decimals would merge into a tie."""
+    import rankmil.cli as cli
+    from rankmil.metrics import auc, average_precision
+
+    rng = Rng(21)
+    base = [rng.gauss_block(n * 3).reshape(n, 3).astype(np.float32) for n in (6, 9, 4, 7, 5, 8)]
+    nudged = base[1].copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], np.float32(np.inf))
+    bags = [*base, base[0], nudged]
+    labels = [0, 1, 1, 0, 1, 0, 1, 0]
+    rows = []
+    for i, features in enumerate(bags):
+        write_feature_file(tmp_path / f"b{i}.milf", features)
+        rows.append((f"b{i}", labels[i], f"b{i}.milf"))
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(manifest, rows)
+    model = tmp_path / "m.milm"
+    save_checkpoint(init_params(3, 6, Rng(9)), model)
+    out = tmp_path / "s.csv"
+    assert main(["score", "--model", str(model), "--data", str(manifest),
+                 "--out", str(out), "--topk", "0.5"]) == 0
+
+    scores = [bs.score for bs in score_dataset(load_checkpoint(model), load_dataset(manifest), 0.5)]
+    assert scores[6] == scores[0]
+    assert scores[7] != scores[1] and f"{scores[7]:.6f}" == f"{scores[1]:.6f}"
+    reports = []
+    real = cli.evaluate
+
+    def recording(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "evaluate", recording)
+    assert main(["eval", "--scores", str(out)]) == 0
+    (report,) = reports
+    assert report.auc.hex() == auc(scores, labels).hex()
+    assert report.average_precision.hex() == average_precision(scores, labels).hex()
 
 
 def test_score_corrupt_last_bag_writes_nothing(tmp_path, capsys):
@@ -315,8 +360,8 @@ def test_train_holds_loaded_bags_at_float32(tmp_path):
     """``train`` holds its training and validation sets in memory: here
     240 bags of 300 to 600 patches at dim 32, about 3.5 million values,
     13 MB at the 4 bytes of the file's float32 and 26 MB as float64.
-    The hidden-layer buffer, the model and the optimizer add about 2 MB
-    (1.9 MB measured), so a growth of VmHWM (see
+    The model with its one hidden-layer buffer, grown to the largest
+    bag, and the optimizer add about 2 MB, so a growth of VmHWM (see
     test_synth_and_score_hold_one_bag_at_a_time) under 22 MB holds only
     if loaded bags stay float32."""
     grown_kib, values = map(int, _run_memory_script(_TRAIN_MEMORY_SCRIPT, tmp_path).split())

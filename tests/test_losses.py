@@ -51,6 +51,11 @@ def test_triplet_examples():
     # 1.5 + 0.5 + 0.75
     out = triplet_ranking_loss(0.0, 1.0, 0.0, LossConfig(TRIPLET, 0.5, 0.25))
     assert out.value == 2.75
+    # The clustering term sits exactly at its hinge: (0.5 - 0.25)^2 - 0.0625
+    # is 0.0, so it adds nothing and passes no gradient.
+    out = triplet_ranking_loss(1.0, 0.5, 0.25, LossConfig(TRIPLET, 0.25, 0.0625))
+    assert out.value == 0.0
+    assert out.grads == (0.0, 0.0, 0.0)
 
 
 def test_pairwise_examples():

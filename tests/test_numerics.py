@@ -161,7 +161,8 @@ def test_shuffle_matches_sequential_draws_for_every_length():
 @pytest.mark.parametrize(
     "fraction,n,want",
     [
-        (0.1, 30, 3),  # 0.1 * 30 rounds one ulp above 3.0 in floats
+        (0.07, 100, 7),  # 0.07 * 100 rounds one ulp above 7.0 in floats
+        (0.1, 30, 3),  # 0.1 * 30 is exactly 3.0
         (0.1, 10, 1),
         (0.1, 11, 2),
         (1.0, 5, 5),

@@ -329,9 +329,10 @@ def test_score_dataset_order_and_empty():
 
 
 def test_score_dataset_streams_with_a_growing_buffer():
-    """Bag sizes that rise and fall make the buffer grow twice. Scoring
-    the bags from a generator and from a Dataset, both through the one
-    growing-buffer path, gives the same scores, bit for bit."""
+    """Bag sizes that rise and fall make the model's hidden-layer scratch
+    grow three times during the first call, which streams the bags from
+    a generator. The second call scores them from a Dataset through the
+    grown scratch, and gives the same scores, bit for bit."""
     params = init_params(5, 7, Rng(3))
     rng = Rng(4)
     bags = [
@@ -346,6 +347,28 @@ def test_score_dataset_streams_with_a_growing_buffer():
         assert np.array_equal(a.patch_scores, b.patch_scores)
         assert np.array_equal(a.topk_indices, b.topk_indices)
     assert score_dataset(params, iter(()), 0.3) == []
+
+
+def test_train_holds_one_hidden_layer():
+    """Training steps and validation write their hidden layers into the
+    model's one scratch array, so the memory numpy allocates during
+    ``train`` peaks near one (largest bag x hidden) float64 layer, not
+    two. Here hidden is far larger than dim, and every bag has 400
+    patches: one layer is 1.6 MB, and the features, the top-k rows, the
+    gradients and Adam's four parameter-sized vectors come to a fraction
+    of that."""
+    import tracemalloc
+
+    tr, va = _datasets(patches=(400, 400))
+    cfg = _config(hidden=512, topk_fraction=0.01, epochs=2)
+    layer = 400 * cfg.hidden * 8
+    tracemalloc.start()
+    try:
+        train(tr, va, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert layer <= peak < 1.5 * layer, f"traced peak {peak} bytes, one layer is {layer}"
 
 
 class _CursorSampler:
