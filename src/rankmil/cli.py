@@ -26,13 +26,7 @@ from .data import (
     write_csv_atomic,
 )
 from .losses import LossConfig, LossVariant
-from .metrics import (
-    UndefinedCorrelationError,
-    UndefinedMetricError,
-    correlate_table,
-    evaluate,
-    load_covariates,
-)
+from .metrics import correlate_table, evaluate, load_covariates
 from .model import load_checkpoint, save_checkpoint
 from .parallel import WorkerFailed, map_chunks, worker_count
 from .synth import SynthConfig, write_synth
@@ -46,10 +40,8 @@ from .training import (
     write_train_log,
 )
 
+# ValueError covers FormatError and the metrics' Undefined*Error classes.
 _DATA_ERRORS = (
-    FormatError,
-    UndefinedMetricError,
-    UndefinedCorrelationError,
     TrainingDiverged,
     WorkerFailed,
     ValueError,

@@ -87,13 +87,11 @@ class Bag:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered collection of bags sharing one feature dimension.
-
-    ``dim`` is 0 only for the empty dataset.
-    """
+    """An ordered collection of bags with distinct ids, sharing one
+    feature dimension: :attr:`dim` is the first bag's, 0 for the empty
+    dataset."""
 
     bags: tuple[Bag, ...]
-    dim: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bags", tuple(self.bags))
@@ -106,6 +104,10 @@ class Dataset:
                 raise ValueError(
                     f"bag {bag.bag_id!r} has dim {bag.dim}, dataset dim is {self.dim}"
                 )
+
+    @property
+    def dim(self) -> int:
+        return self.bags[0].dim if self.bags else 0
 
     def __len__(self) -> int:
         return len(self.bags)
@@ -359,7 +361,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
                 f"but bag {bags[0].bag_id!r} has dim {bags[0].dim}"
             )
         bags.append(bag)
-    return Dataset(tuple(bags), bags[0].dim if bags else 0)
+    return Dataset(tuple(bags))
 
 
 __all__ = [

@@ -60,31 +60,24 @@ def _n_params(dim: int, hidden: int) -> int:
 
 class ModelParams:
     """MLP weights ``w1`` (hidden, dim), ``b1`` (hidden,), ``w2``
-    (hidden,) and scalar ``b2``, owned by one C-contiguous float64 vector
-    ``vec`` in the :func:`_pack` layout. ``w1``, ``b1`` and ``w2`` are
-    views into ``vec`` and ``b2`` reads its last element, so writing
-    ``vec`` in place updates every one of them. :func:`forward` writes
-    into the model's hidden-layer scratch, grown to the largest bag the
-    model has scored and kept until the model is freed; :meth:`copy` and
-    :meth:`from_vector` start with an empty one. Single-owner: one
+    (hidden,) and scalar ``b2``, owned by one C-contiguous float64 copy
+    ``vec`` of the given vector, in the :func:`_pack` layout. ``w1``,
+    ``b1`` and ``w2`` are views into ``vec`` and ``b2`` reads its last
+    element, so writing ``vec`` in place updates every one of them.
+    ``dim`` and ``hidden`` must be >= 1 and ``vec`` finite, of length
+    ``hidden * dim + 2 * hidden + 1``, or ``ValueError`` is raised.
+    :func:`forward` writes into the model's hidden-layer scratch, grown
+    to the largest bag the model has scored and kept until the model is
+    freed; a new model starts with an empty one. Single-owner: one
     instance must not be shared across concurrent callers."""
 
-    def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: float) -> None:
-        w1 = np.asarray(w1, dtype=np.float64)
-        b1 = np.asarray(b1, dtype=np.float64)
-        w2 = np.asarray(w2, dtype=np.float64)
-        if w1.ndim != 2:
-            raise ValueError(f"w1 must be 2-d, got shape {w1.shape}")
-        h, d = w1.shape
-        if h < 1 or d < 1:
-            raise ValueError(f"w1 must be at least 1x1, got {h}x{d}")
-        if b1.shape != (h,) or w2.shape != (h,):
-            raise ValueError(f"b1 and w2 must have shape ({h},), got {b1.shape} and {w2.shape}")
-        self._bind(_pack(w1, b1, w2, float(b2)), d, h)
-
-    def _bind(self, vec: np.ndarray, dim: int, hidden: int) -> None:
-        """Own ``vec``, a fresh float64 vector, and view it in the
-        :func:`_pack` layout."""
+    def __init__(self, vec: np.ndarray, dim: int, hidden: int) -> None:
+        if dim < 1 or hidden < 1:
+            raise ValueError(f"dim and hidden must be >= 1, got dim={dim}, hidden={hidden}")
+        n = _n_params(dim, hidden)
+        if np.shape(vec) != (n,):
+            raise ValueError(f"expected vector of length {n}, got shape {np.shape(vec)}")
+        vec = np.array(vec, dtype=np.float64)
         if not np.isfinite(vec).all():
             raise ValueError("parameters contain non-finite values")
         n_w1 = hidden * dim
@@ -127,14 +120,9 @@ class ModelParams:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, dim: int, hidden: int) -> "ModelParams":
-        """Parameters owning a float64 copy of ``vec``, which must be in
-        the :func:`_pack` layout."""
-        n = _n_params(dim, hidden)
-        if np.shape(vec) != (n,):
-            raise ValueError(f"expected vector of length {n}, got shape {np.shape(vec)}")
-        params = cls.__new__(cls)
-        params._bind(np.array(vec, dtype=np.float64), dim, hidden)
-        return params
+        """``cls(vec, dim, hidden)``: parameters owning a float64 copy of
+        ``vec``, which must be in the :func:`_pack` layout."""
+        return cls(vec, dim, hidden)
 
 
 @dataclass(frozen=True)
@@ -149,19 +137,19 @@ class BagScore:
 
 
 def init_params(dim: int, hidden: int, rng: Rng) -> ModelParams:
-    """Glorot-uniform weights, zero biases.
+    """Glorot-uniform weights, zero biases, for ``dim`` and ``hidden``
+    as :class:`ModelParams` accepts them.
 
     Each weight matrix is drawn row-major from
     ``uniform(-L, L), L = sqrt(6 / (fan_in + fan_out))``; w1 first,
     then w2.
     """
-    if dim < 1 or hidden < 1:
-        raise ValueError(f"dim and hidden must be >= 1, got dim={dim}, hidden={hidden}")
+    params = ModelParams(np.zeros(_n_params(dim, hidden)), dim, hidden)
     limit1 = math.sqrt(6.0 / (dim + hidden))
-    w1 = (2.0 * rng.uniform_block(hidden * dim) - 1.0) * limit1
+    params.w1[:] = ((2.0 * rng.uniform_block(hidden * dim) - 1.0) * limit1).reshape(hidden, dim)
     limit2 = math.sqrt(6.0 / (hidden + 1))
-    w2 = (2.0 * rng.uniform_block(hidden) - 1.0) * limit2
-    return ModelParams(w1.reshape(hidden, dim), np.zeros(hidden), w2, 0.0)
+    params.w2[:] = (2.0 * rng.uniform_block(hidden) - 1.0) * limit2
+    return params
 
 
 def _check_dim(params: ModelParams, dim: int, what: str) -> None:

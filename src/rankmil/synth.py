@@ -125,7 +125,7 @@ def _draw_bag(cfg: SynthConfig, u: np.ndarray, plan: BagPlan) -> Bag:
 def generate(cfg: SynthConfig) -> Dataset:
     """Every bag of :func:`plan_bags`, drawn deterministically, in memory."""
     u = signal_direction(cfg.seed, cfg.dim)
-    return Dataset(tuple(_draw_bag(cfg, u, plan) for plan in plan_bags(cfg)), cfg.dim)
+    return Dataset(tuple(_draw_bag(cfg, u, plan) for plan in plan_bags(cfg)))
 
 
 def write_synth(cfg: SynthConfig, out_dir: str | Path) -> list[tuple[str, int, str]]:

@@ -5,8 +5,9 @@ is ``n_pos`` units: the positives are cycled without replacement in a
 per-epoch shuffled order, and fresh negatives are drawn uniformly for
 each unit (two distinct ones for the triplet loss). For the bag-level
 losses (cross-entropy, MSE) an epoch is one shuffled pass over all
-bags. Model selection keeps the parameters of the epoch with the best
-validation AUC, earliest epoch winning ties.
+bags. Model selection reads the epoch history: it keeps the parameters
+of the epoch with the best validation AUC, earliest epoch winning ties,
+and training stops once ``patience`` epochs have passed since that one.
 
 Every objective runs through one step loop. A unit is a tuple of one
 to three bags; each bag gets one :func:`~rankmil.model.forward` per
@@ -233,10 +234,7 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
     frac = cfg.topk_fraction
 
     history: list[EpochStats] = []
-    best_auc = -math.inf
-    best_epoch = -1
-    best_params = params.copy()
-    stale = 0
+    best_epoch = 0
 
     for epoch in range(cfg.epochs):
         losses: list[float] = []
@@ -265,15 +263,11 @@ def train(ds_train: Dataset, ds_val: Dataset, cfg: TrainConfig) -> TrainReport:
         except FloatingPointError as exc:
             raise TrainingDiverged(f"epoch {epoch}, validation scoring: {exc}") from exc
         history.append(EpochStats(float(np.mean(losses)), val_auc))
-        if val_auc > best_auc:
-            best_auc = val_auc
+        if epoch == 0 or val_auc > history[best_epoch].val_auc:
             best_epoch = epoch
             best_params = params.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+        elif epoch - best_epoch >= cfg.patience:
+            break
 
     return TrainReport(tuple(history), best_epoch, best_params)
 

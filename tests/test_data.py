@@ -20,6 +20,7 @@ from rankmil.data import (
 )
 from rankmil.metrics import load_covariates
 from rankmil.numerics import Rng
+from rankmil.synth import SynthConfig, generate
 
 from conftest import write_bags
 
@@ -52,14 +53,15 @@ def test_bag_feature_dtypes():
 
 
 def test_dataset_validation():
-    ds = Dataset((_bag("a", 1, [[0.0]]), _bag("b", 0, [[1.0]])), 1)
+    ds = Dataset((_bag("a", 1, [[0.0]]), _bag("b", 0, [[1.0]])))
     assert len(ds) == 2
     assert ds.n_pos == 1
     assert ds.n_neg == 1
+    assert ds.dim == 1
     with pytest.raises(ValueError, match="duplicate"):
-        Dataset((_bag("a", 1, [[0.0]]), _bag("a", 0, [[1.0]])), 1)
-    with pytest.raises(ValueError, match="dim"):
-        Dataset((_bag("a", 1, [[0.0, 1.0]]),), 1)
+        Dataset((_bag("a", 1, [[0.0]]), _bag("a", 0, [[1.0]])))
+    with pytest.raises(ValueError, match="bag 'b' has dim 2, dataset dim is 1"):
+        Dataset((_bag("a", 1, [[0.0]]), _bag("b", 0, [[0.0, 1.0]])))
 
 
 def test_feature_file_round_trip(tmp_path):
@@ -307,12 +309,15 @@ def test_load_dataset_duplicate_and_missing(tmp_path):
     )
 
 
-def test_load_dataset_empty_manifest(tmp_path):
+def test_empty_dataset_has_dim_0(tmp_path):
+    """An empty dataset has no bag to take a dim from, however it is made."""
     manifest = tmp_path / "manifest.csv"
     write_manifest(manifest, [])
-    ds = load_dataset(manifest)
-    assert len(ds) == 0
-    assert ds.dim == 0
+    loaded = load_dataset(manifest)
+    generated = generate(SynthConfig(n_pos=0, n_neg=0))
+    for ds in (loaded, generated, Dataset(())):
+        assert len(ds) == 0
+        assert ds.dim == 0
 
 
 def test_iter_rows_reads_each_file_when_its_bag_is_reached(tmp_path):

@@ -1,10 +1,12 @@
 """Every module-level import in the library is used: its name appears
-in the module's code or in the module's ``__all__``. The package root
-only re-exports: each library module's ``__all__`` is the one list of
-its public names."""
+in the module's code or in the module's ``__all__``. Every private name
+the library defines at module or class level is read somewhere in it.
+The package root only re-exports: each library module's ``__all__`` is
+the one list of its public names."""
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -60,6 +62,67 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("module", _MODULES)
 def test_module_has_no_unused_import(module):
     assert unused_imports((_SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(body: list[ast.stmt]) -> Iterator[tuple[int, str]]:
+    """(line, name) of each non-dunder ``_name`` that ``body`` defines,
+    and that the bodies of the classes it defines do, recursively."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+            if isinstance(node, ast.ClassDef):
+                yield from _private_definitions(node.body)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield node.lineno, name
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """The private names that a module of ``sources`` (file name ->
+    source) defines at module or class level and that no module of
+    ``sources`` reads, as a bare name or as an attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}:{line}: {name}"
+        for module, tree in trees.items()
+        for line, name in _private_definitions(tree.body)
+        if name not in read
+    ]
+
+
+def test_checker_finds_an_unused_private_name():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "def _helper():\n"
+            "    return 1\n"
+            "class C:\n"
+            "    _slot = 0\n"
+            "    def __init__(self):\n"
+            "        self._slot = _LIMIT\n"
+            "    def _dead(self):\n"
+            "        pass\n"
+        ),
+        "b.py": "from .a import C, _helper\nprint(_helper(), C()._x)\n",
+    }
+    assert unused_private_names(sources) == ["a.py:2: _UNUSED", "a.py:6: _slot", "a.py:9: _dead"]
+
+
+def test_library_has_no_unused_private_name():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
+    assert unused_private_names(sources) == []
 
 
 def test_package_root_star_imports_each_library_module():

@@ -24,7 +24,9 @@ from oracles import central_diff
 
 
 def _params(w1, b1, w2, b2):
-    return ModelParams(np.asarray(w1, float), np.asarray(b1, float), np.asarray(w2, float), b2)
+    """The model with these weights, packed as ``[w1 row-major, b1, w2, b2]``."""
+    w1 = np.asarray(w1, float)
+    return ModelParams(np.concatenate([w1.ravel(), b1, w2, [b2]]), *w1.shape[::-1])
 
 
 def _bag(rows, bag_id="b", label=0):
@@ -83,10 +85,19 @@ def test_params_validation_and_vector_round_trip():
     assert p.b1.tolist() == [4.0, 5.0] and p.w2.tolist() == [6.0, 7.0] and p.b2 == 8.0
     with pytest.raises(AttributeError):
         p.b2 = 1.0
+
+
+def test_constructor_checks_dims_length_and_finiteness():
+    # The first two vectors have the length _pack gives their dims, so
+    # only the dim check rejects them; a (5, 0) model could not be loaded back.
+    with pytest.raises(ValueError, match="dim and hidden must be >= 1"):
+        ModelParams.from_vector(np.zeros(11), 0, 5)
+    with pytest.raises(ValueError, match="dim and hidden must be >= 1"):
+        ModelParams.from_vector(np.zeros(1), 0, 0)
+    with pytest.raises(ValueError, match="length 9"):
+        ModelParams(np.zeros(10), 2, 2)
     with pytest.raises(ValueError, match="non-finite"):
-        _params([[math.nan]], [0.0], [0.0], 0.0)
-    with pytest.raises(ValueError, match="shape"):
-        _params([[1.0]], [0.0, 0.0], [0.0], 0.0)
+        ModelParams(np.array([0.0] * 8 + [math.nan]), 2, 2)
 
 
 def test_params_copy_is_independent():

@@ -86,7 +86,7 @@ def test_config_validation():
 def _toy_dataset(n_pos, n_neg):
     bags = [Bag(f"p{i}", 1, np.full((3, 2), 1.0)) for i in range(n_pos)]
     bags += [Bag(f"n{i}", 0, np.full((3, 2), -1.0)) for i in range(n_neg)]
-    return Dataset(tuple(bags), 2)
+    return Dataset(tuple(bags))
 
 
 def _unit_ids(variant, ds, rng):
@@ -146,13 +146,9 @@ def test_train_fixed_point_keeps_zero_loss_params():
         Bag("n0", 0, np.zeros((4, 1))),
         Bag("n1", 0, np.zeros((4, 1))),
     )
-    ds = Dataset(bags, 1)
-    params = ModelParams(
-        w1=np.array([[10.0]]),
-        b1=np.array([0.0]),
-        w2=np.array([10.0]),
-        b2=-5.0,
-    )
+    ds = Dataset(bags)
+    # w1, b1, w2, b2 in the one parameter layout.
+    params = ModelParams(np.array([10.0, 0.0, 10.0, -5.0]), dim=1, hidden=1)
     import rankmil.training as tr_mod
 
     def no_backward(*args, **kwargs):
@@ -266,10 +262,10 @@ def test_non_finite_parameters_raise_training_diverged(monkeypatch, tmp_path, ca
 
 def test_train_precondition_errors():
     tr, va = _datasets()
-    only_pos = Dataset(tuple(b for b in tr.bags if b.label == 1), tr.dim)
+    only_pos = Dataset(tuple(b for b in tr.bags if b.label == 1))
     with pytest.raises(ValueError, match=">= 1 positive and >= 2 negative"):
         train(only_pos, va, _config())
-    single_class_val = Dataset(tuple(b for b in va.bags if b.label == 0), va.dim)
+    single_class_val = Dataset(tuple(b for b in va.bags if b.label == 0))
     with pytest.raises(ValueError, match="both classes"):
         train(tr, single_class_val, _config())
     wrong_dim = generate(SynthConfig(dim=4, n_pos=2, n_neg=2, patches_min=5, patches_max=6))
@@ -325,7 +321,7 @@ def test_score_dataset_order_and_empty():
     assert [bs.bag_id for bs in scored] == [bag.bag_id for bag in tr.bags]
     for bs, bag in zip(scored, tr.bags):
         assert bs.score == score_bag(report.params, bag, 0.1).score
-    assert score_dataset(report.params, Dataset((), tr.dim), 0.1) == []
+    assert score_dataset(report.params, Dataset(()), 0.1) == []
 
 
 def test_score_dataset_streams_with_a_growing_buffer():
@@ -340,7 +336,7 @@ def test_score_dataset_streams_with_a_growing_buffer():
         for i, n in enumerate([4, 2, 9, 1, 9, 30, 3])
     ]
     streamed = score_dataset(params, iter(bags), 0.3)
-    sized = score_dataset(params, Dataset(tuple(bags), 5), 0.3)
+    sized = score_dataset(params, Dataset(tuple(bags)), 0.3)
     assert [bs.bag_id for bs in streamed] == [bag.bag_id for bag in bags]
     for a, b in zip(streamed, sized):
         assert a.score == b.score
@@ -499,7 +495,7 @@ def _float32_and_float64(ds, tmp_path, name):
     loaded = load_dataset(write_bags(tmp_path / name, ds))
     assert all(bag.features.dtype == np.float32 for bag in loaded)
     widened = Dataset(
-        tuple(Bag(b.bag_id, b.label, b.features.astype(np.float64)) for b in loaded), loaded.dim
+        tuple(Bag(b.bag_id, b.label, b.features.astype(np.float64)) for b in loaded)
     )
     return loaded, widened
 
