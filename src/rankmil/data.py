@@ -5,10 +5,12 @@ with a single binary label. These file formats live here:
 
 feature file (binary)
     magic ``MILF`` | patch count K: u32 LE | feature dim D: u32 LE |
-    K*D float32 LE, row-major. :func:`iter_rows` and
-    :func:`load_dataset` keep a bag's values as the file's float32, half
-    the memory of float64; :func:`load_feature_file` widens them to
-    float64. Both are exact, and writing narrows back, so load -> write
+    K*D float32 LE, row-major. :func:`load_feature_file`, the one
+    reader of both feature formats, returns values at their stored
+    precision: a binary file gives a float32, read-only view of its
+    bytes, half the memory of float64. :func:`iter_rows` and
+    :func:`load_dataset` keep a bag's values as read; the model widens
+    them exactly, and writing narrows float64 back, so load -> write
     round-trips byte-identically.
 
 feature file (text)
@@ -75,10 +77,6 @@ class Bag:
             raise ValueError(f"bag {self.bag_id!r}: features must be non-empty, got {f.shape}")
         if not np.isfinite(f).all():
             raise ValueError(f"bag {self.bag_id!r}: features contain non-finite values")
-
-    @property
-    def n_patches(self) -> int:
-        return self.features.shape[0]
 
     @property
     def dim(self) -> int:
@@ -199,14 +197,12 @@ def _load_feature_csv(path: Path) -> np.ndarray:
 
 def load_feature_file(path: str | Path) -> np.ndarray:
     """Load one feature file (binary, or CSV when the name ends in
-    ``.csv``) as a (patches, dim) float64 array."""
-    return _read_features(Path(path)).astype(np.float64, copy=False)
-
-
-def _read_features(path: Path) -> np.ndarray:
-    """One feature file at its stored precision: a CSV as float64, a
-    binary file as float32 (on a little-endian host, a read-only view of
-    the file's bytes)."""
+    ``.csv``) as a (patches, dim) array at its stored precision: a CSV
+    as float64, a binary file as float32 (on a little-endian host, a
+    read-only view of the file's bytes). Earlier versions widened a
+    binary file to float64; call ``astype(np.float64)`` where a
+    writable float64 array is needed."""
+    path = Path(path)
     if path.name.endswith(".csv"):
         return _load_feature_csv(path)
 
@@ -327,7 +323,7 @@ def iter_rows(manifest_path: Path, rows: Sequence[tuple[str, int, str]]) -> Iter
         try:
             if "\0" in rel:  # open() would raise ValueError, naming no file
                 raise FileNotFoundError
-            features = _read_features(feature_path)
+            features = load_feature_file(feature_path)
         except FileNotFoundError:
             raise FileNotFoundError(
                 f"{manifest_path}: bag {bag_id!r} references missing file {feature_path}"

@@ -141,8 +141,6 @@ class EvalReport:
     average_precision: float
     roc: tuple[tuple[float, float], ...]
     pr: tuple[tuple[float, float], ...]
-    n_pos: int
-    n_neg: int
 
 
 def evaluate(scores, labels) -> EvalReport:
@@ -154,8 +152,6 @@ def evaluate(scores, labels) -> EvalReport:
         average_precision=_average_precision(w),
         roc=((0.0, 0.0),) + tuple((f / w.n_neg, t / w.n_pos) for f, t in zip(w.fp, w.tp)),
         pr=tuple((t / w.n_pos, t / (t + f)) for t, f in zip(w.tp, w.fp)),
-        n_pos=w.n_pos,
-        n_neg=w.n_neg,
     )
 
 

@@ -107,10 +107,6 @@ class ModelParams:
     def hidden(self) -> int:
         return self.w1.shape[0]
 
-    @property
-    def n_params(self) -> int:
-        return self.vec.size
-
     def copy(self) -> "ModelParams":
         return ModelParams.from_vector(self.vec, self.dim, self.hidden)
 

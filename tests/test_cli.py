@@ -233,6 +233,28 @@ def test_score_streams_to_the_bytes_of_a_loaded_dataset(tmp_path):
     assert out.read_text() == "\n".join(want) + "\n"
 
 
+def test_commands_read_each_bag_through_load_feature_file(tmp_path, monkeypatch):
+    """``load_feature_file`` is the one feature-file reader: loading a
+    manifest and a serial ``score`` of it call it once per bag."""
+    import rankmil.data
+
+    reads = []
+    real = rankmil.data.load_feature_file
+
+    def counting(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(rankmil.data, "load_feature_file", counting)
+    manifest, model = _ragged_cohort(tmp_path, [4, 2, 7])
+    load_dataset(manifest)
+    assert len(reads) == 3
+    reads.clear()
+    assert main(["score", "--model", str(model), "--data", str(manifest),
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(reads) == 3
+
+
 def test_eval_of_a_score_csv_matches_the_in_memory_scores_exactly(tmp_path, monkeypatch):
     """The score CSV holds each score's exact float, so eval's AUC and AP
     equal those of the in-memory scores, bit for bit. The cohort has an
@@ -349,7 +371,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["train", "--train", work + "/c/train/manifest.csv", "--val",
                  work + "/c/val/manifest.csv", "--out", work + "/m.milm", "--epochs", "1"]) == 0
 grown = peak_kib() - base
-values = sum(bag.n_patches * bag.dim for part in ("train", "val")
+values = sum(bag.features.size for part in ("train", "val")
              for bag in load_dataset(work + "/c/" + part + "/manifest.csv"))
 print(grown, values)
 """

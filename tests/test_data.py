@@ -31,7 +31,7 @@ def _bag(bag_id, label, rows):
 
 def test_bag_validation():
     bag = _bag("a", 1, [[1.0, 2.0], [3.0, 4.0]])
-    assert bag.n_patches == 2
+    assert bag.features.shape[0] == 2
     assert bag.dim == 2
     with pytest.raises(ValueError, match="label"):
         _bag("a", 2, [[1.0]])
@@ -72,7 +72,7 @@ def test_feature_file_round_trip(tmp_path):
     write_feature_file(path, features)
     loaded = load_feature_file(path)
     assert loaded.shape == (3, 2)
-    assert loaded.dtype == np.float64
+    assert loaded.dtype == np.float32 and not loaded.flags.writeable
     assert np.array_equal(loaded, features.astype(np.float32).astype(np.float64))
     again = tmp_path / "y.milf"
     write_feature_file(again, loaded)
@@ -259,12 +259,12 @@ def test_load_dataset(tmp_path):
     ds = load_dataset(manifest)
     assert ds.dim == 8
     assert [b.bag_id for b in ds.bags] == ["a", "b"]
-    assert ds.bags[1].n_patches == 2
+    assert ds.bags[1].features.shape[0] == 2
 
 
 def test_load_dataset_keeps_float32_file_values(tmp_path):
-    """A binary file's bag holds the stored float32 values, which widen
-    to exactly what load_feature_file returns; a CSV file's stays float64."""
+    """A binary file's bag holds the stored float32 values, exactly what
+    load_feature_file returns; a CSV file's stays float64."""
     features = Rng(6).gauss_block(12).reshape(4, 3)
     write_feature_file(tmp_path / "a.milf", features)
     np.savetxt(tmp_path / "b.csv", features, delimiter=",", fmt="%.17g")
@@ -272,7 +272,7 @@ def test_load_dataset_keeps_float32_file_values(tmp_path):
     write_manifest(manifest, [("a", 1, "a.milf"), ("b", 0, "b.csv")])
     a, b = load_dataset(manifest)
     assert a.features.dtype == np.float32
-    assert np.array_equal(a.features.astype(np.float64), load_feature_file(tmp_path / "a.milf"))
+    assert np.array_equal(a.features, load_feature_file(tmp_path / "a.milf"))
     assert b.features.dtype == np.float64
     assert np.array_equal(b.features, features)
 

@@ -1,12 +1,14 @@
 """Every module-level import in the library is used: its name appears
 in the module's code or in the module's ``__all__``. Every private name
-the library defines at module or class level is read somewhere in it.
-The package root only re-exports: each library module's ``__all__`` is
-the one list of its public names."""
+the library defines at module or class level is read somewhere in it,
+and every public function, method, property and dataclass field is read
+by the library or by the acceptance tests. The package root only
+re-exports: each library module's ``__all__`` is the one list of its
+public names."""
 
 import ast
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import pytest
 
@@ -82,17 +84,22 @@ def _private_definitions(body: list[ast.stmt]) -> Iterator[tuple[int, str]]:
                 yield node.lineno, name
 
 
+def _read_names(trees: Iterable[ast.Module]) -> set[str]:
+    """Every name that ``trees`` read, as a bare name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def unused_private_names(sources: dict[str, str]) -> list[str]:
     """The private names that a module of ``sources`` (file name ->
     source) defines at module or class level and that no module of
     ``sources`` reads, as a bare name or as an attribute."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    read = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
+    read = _read_names(trees.values())
     return [
         f"{module}:{line}: {name}"
         for module, tree in trees.items()
@@ -123,6 +130,78 @@ def test_checker_finds_an_unused_private_name():
 def test_library_has_no_unused_private_name():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+def _public_members(body: list[ast.stmt], fields: bool = False) -> Iterator[tuple[int, str]]:
+    """(line, name) of each public function and method that ``body``
+    defines, recursing into its classes, and, where ``fields`` is set,
+    of each annotated class attribute (a dataclass's fields)."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            yield from _public_members(node.body, dataclass)
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif fields and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield node.lineno, name
+
+
+def unread_public_members(sources: dict[str, str], readers: Iterable[str]) -> list[str]:
+    """The public functions, methods, properties and dataclass fields
+    that a module of ``sources`` (file name -> source) defines and that
+    neither ``sources`` nor ``readers`` (more sources) reads. The match
+    is by name only: a member whose name some other, read member shares
+    gets past it; an unread ``EvalReport.n_pos`` field, for example,
+    would pass because training reads ``Dataset.n_pos``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = _read_names([*trees.values(), *map(ast.parse, readers)])
+    return [
+        f"{module}:{line}: {name}"
+        for module, tree in trees.items()
+        for line, name in _public_members(tree.body)
+        if name not in read
+    ]
+
+
+def test_checker_finds_an_unread_public_member():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "def run():\n"
+            "    return Report(1, 2).size\n"
+            "def unused():\n"
+            "    pass\n"
+            "@dataclass(frozen=True)\n"
+            "class Report:\n"
+            "    size: int\n"
+            "    count: int\n"
+            "    def _private(self):\n"
+            "        return self.size\n"
+            "    @property\n"
+            "    def total(self) -> int:\n"
+            "        return self.count\n"
+            "class Plain:\n"
+            "    limit: int = 3\n"
+            "    def shown(self):\n"
+            "        pass\n"
+        ),
+        "b.py": "from .a import run\nrun()\n",
+    }
+    assert unread_public_members(sources, ["Plain().shown()\n"]) == [
+        "a.py:4: unused",
+        "a.py:13: total",
+    ]
+
+
+def test_library_has_no_member_only_tests_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
+    acceptance = (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")
+    assert unread_public_members(sources, [acceptance]) == []
 
 
 def test_package_root_star_imports_each_library_module():

@@ -68,7 +68,7 @@ def test_sigmoid_matches_two_branch_reference_bits():
 
 def test_params_validation_and_vector_round_trip():
     p = _params([[1.0, 2.0], [3.0, 4.0]], [0.1, 0.2], [0.5, -0.5], 0.75)
-    assert p.dim == 2 and p.hidden == 2 and p.n_params == 9
+    assert p.dim == 2 and p.hidden == 2 and p.vec.size == 9
     vec = p.to_vector()
     assert vec.shape == (9,)
     q = ModelParams.from_vector(vec, dim=2, hidden=2)
@@ -257,7 +257,7 @@ def test_aggregate_monotonicity():
 def test_backward_zero_upstream_is_zero():
     p = init_params(4, 3, Rng(1))
     bag = _bag(Rng(2).gauss_block(5 * 4).reshape(5, 4))
-    assert np.array_equal(backward_bag(p, bag, 0.5, 0.0), np.zeros(p.n_params))
+    assert np.array_equal(backward_bag(p, bag, 0.5, 0.0), np.zeros(p.vec.size))
 
 
 def test_backward_single_patch_closed_form():

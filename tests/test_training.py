@@ -260,6 +260,32 @@ def test_non_finite_parameters_raise_training_diverged(monkeypatch, tmp_path, ca
     assert not (tmp_path / "m.milm").exists()
 
 
+def test_non_finite_loss_exits_1_and_writes_no_checkpoint(tmp_path, capsys):
+    # A margin of 1e308 makes the first triplet's two hinge terms sum to inf.
+    tr, va = _datasets()
+    model = tmp_path / "m.milm"
+    code = main([
+        "train", "--train", str(write_bags(tmp_path / "train", tr)),
+        "--val", str(write_bags(tmp_path / "val", va)), "--out", str(model),
+        "--hidden", "8", "--epochs", "2", "--alpha1", "1e308",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: epoch 0, unit 0: non-finite loss inf\n"
+    assert not model.exists()
+
+
+def test_validation_floating_point_error_raises_training_diverged(monkeypatch):
+    def overflow(params, bags, fraction):
+        raise FloatingPointError("overflow encountered in matmul")
+
+    monkeypatch.setattr(training, "score_dataset", overflow)
+    tr, va = _datasets()
+    with pytest.raises(
+        TrainingDiverged, match="^epoch 0, validation scoring: overflow encountered in matmul$"
+    ):
+        train(tr, va, _config())
+
+
 def test_train_precondition_errors():
     tr, va = _datasets()
     only_pos = Dataset(tuple(b for b in tr.bags if b.label == 1))
@@ -473,7 +499,7 @@ def test_train_matches_per_bag_reference_bit_for_bit(variant, optimizer):
     # reused across bags of different sizes, and validation bags of 30 to
     # 60, so that validation needs more rows than any training bag.
     tr, va = _datasets(patches=(8, 40), val_patches=(30, 60))
-    assert max(bag.n_patches for bag in va) > max(bag.n_patches for bag in tr)
+    assert max(bag.features.shape[0] for bag in va) > max(bag.features.shape[0] for bag in tr)
     cfg = _config(
         loss=_loss(variant), epochs=3, patience=10, learning_rate=5e-3,
         optimizer=optimizer, topk_fraction=0.2,
