@@ -47,6 +47,7 @@ _DATA_ERRORS = (
     ValueError,
     FloatingPointError,
     OSError,
+    MemoryError,
 )
 
 
@@ -142,12 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ensure_parent(path: str) -> None:
-    parent = Path(path).parent
-    if parent != Path("."):
-        parent.mkdir(parents=True, exist_ok=True)
-
-
 def _cmd_synth(args: argparse.Namespace) -> int:
     if args.patches_min > args.patches_max:
         print(
@@ -190,7 +185,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         optimizer=args.optimizer,
     )
     report = train(ds_train, ds_val, cfg)
-    _ensure_parent(args.out)
     save_checkpoint(report.params, args.out)
     write_train_log(report, str(args.out) + ".log")
     print(f"checkpoint -> {args.out}")
@@ -210,7 +204,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
     workers = worker_count(stored_rows(manifest.parent / rel, params.dim) for _, _, rel in rows)
     scores = [s for part in map_chunks(rows, score_chunk, workers) for s in part]
     out_rows = [(bag_id, repr(s), y) for (bag_id, y, _), s in zip(rows, scores)]
-    _ensure_parent(args.out)
     write_csv_atomic(args.out, [("bag_id", "score", "label"), *out_rows])
     print(f"scored {len(scores)} bags -> {args.out}")
     return 0
@@ -257,7 +250,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(scores, labels)
     if args.curves:
         curves = Path(args.curves)
-        curves.mkdir(parents=True, exist_ok=True)
         write_csv_atomic(
             curves / "roc.csv",
             [("fpr", "tpr"), *((f"{f:.6f}", f"{t:.6f}") for f, t in report.roc)],
@@ -282,7 +274,6 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     for name, reason in result.skipped:
         print(f"warning: skipped column {name!r}: {reason}", file=sys.stderr)
     rows = [(name, f"{c.rho:.6f}", f"{c.p_value:.6g}", c.n) for name, c in result.entries]
-    _ensure_parent(args.out)
     write_csv_atomic(args.out, [("name", "rho", "p_value", "n"), *rows])
     print(f"correlations for {len(result.entries)} columns -> {args.out}")
     return 0

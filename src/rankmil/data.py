@@ -126,10 +126,16 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
     """Write ``data`` to ``path`` through a temporary file in the same
     directory and ``os.replace``: a reader, or a failed write, sees the
     previous file or the complete new one, never a partial file. The
-    temporary file is removed if anything fails."""
+    temporary file is removed if anything fails. Missing parent
+    directories are created, so every command creates them too."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        fd = os.open(tmp, flags, 0o666)
+    except (FileNotFoundError, NotADirectoryError):  # mkdir names the missing or bad directory
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -139,20 +145,15 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-def _check_writable_features(features: np.ndarray) -> np.ndarray:
+def write_feature_file(path: str | Path, features: np.ndarray) -> None:
+    """Write a binary feature file atomically (see
+    :func:`write_bytes_atomic`). float64 input is narrowed to the float32
+    storage format."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
         raise ValueError(f"features must be a non-empty 2-d array, got shape {features.shape}")
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
-    return features
-
-
-def write_feature_file(path: str | Path, features: np.ndarray) -> None:
-    """Write a binary feature file atomically (see
-    :func:`write_bytes_atomic`). float64 input is narrowed to the float32
-    storage format."""
-    features = _check_writable_features(features)
     header = _FEATURE_MAGIC + struct.pack("<II", *features.shape)
     write_bytes_atomic(path, b"".join((header, features.astype("<f4", order="C"))))
 

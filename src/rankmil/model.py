@@ -206,10 +206,11 @@ def forward(params: ModelParams, features: np.ndarray, fraction: float) -> Forwa
     """
     features = features.astype(np.float64, copy=False)
     out = params._hidden_rows(features.shape[0])
-    np.matmul(features, params.w1.T, out=out)
-    np.add(out, params.b1, out=out)
-    np.maximum(out, 0.0, out=out)
-    z = out @ params.w2 + params.b2
+    with np.errstate(over="ignore", invalid="ignore"):  # z is checked below
+        np.matmul(features, params.w1.T, out=out)
+        np.add(out, params.b1, out=out)
+        np.maximum(out, 0.0, out=out)
+        z = out @ params.w2 + params.b2
     if not np.isfinite(z).all():
         raise FloatingPointError("non-finite patch pre-activation; model has diverged")
     patch_scores = sigmoid(z)

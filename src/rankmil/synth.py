@@ -137,7 +137,6 @@ def write_synth(cfg: SynthConfig, out_dir: str | Path) -> list[tuple[str, int, s
     an interrupted write never leaves a manifest naming a missing file.
     Reruns are byte-identical."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     plans = list(plan_bags(cfg))
     u = signal_direction(cfg.seed, cfg.dim)
 

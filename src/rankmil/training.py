@@ -121,39 +121,23 @@ class Sgd:
 
 
 class Adam:
-    """Adam with bias correction, beta1=0.9, beta2=0.999, eps=1e-8.
-
-    :meth:`step` updates the moments and ``vec`` in place through two
-    scratch vectors, keeping the operand order of
-    ``vec - lr * m_hat / (sqrt(v_hat) + eps)`` so every bit matches.
-    """
+    """Adam with bias correction, beta1=0.9, beta2=0.999, eps=1e-8, in the operand order that
+    ``test_in_place_optimizer_steps_match_returning_arithmetic_bit_for_bit`` pins."""
 
     def __init__(self, learning_rate: float, size: int) -> None:
         self.learning_rate = learning_rate
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
-        self._a = np.empty(size)
-        self._b = np.empty(size)
 
     def step(self, vec: np.ndarray, grad: np.ndarray) -> None:
         """Update ``vec`` in place."""
         self.t += 1
-        a, b = self._a, self._b
-        self.m *= _ADAM_BETA1
-        np.multiply(1.0 - _ADAM_BETA1, grad, out=a)
-        self.m += a
-        self.v *= _ADAM_BETA2
-        np.multiply(1.0 - _ADAM_BETA2, grad, out=a)
-        a *= grad
-        self.v += a
-        np.divide(self.m, 1.0 - _ADAM_BETA1**self.t, out=a)  # m_hat
-        a *= self.learning_rate
-        np.divide(self.v, 1.0 - _ADAM_BETA2**self.t, out=b)  # v_hat
-        np.sqrt(b, out=b)
-        b += _ADAM_EPS
-        a /= b
-        vec -= a
+        self.m = _ADAM_BETA1 * self.m + (1.0 - _ADAM_BETA1) * grad
+        self.v = _ADAM_BETA2 * self.v + (1.0 - _ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1.0 - _ADAM_BETA1**self.t)
+        v_hat = self.v / (1.0 - _ADAM_BETA2**self.t)
+        vec -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def score_dataset(params: ModelParams, bags: Iterable[Bag], fraction: float) -> list[BagScore]:

@@ -154,6 +154,23 @@ def test_data_errors_exit_1(tmp_path, capsys):
     assert "bad magic" in capsys.readouterr().err
 
 
+def test_allocation_failure_exits_1_without_traceback(tmp_path, capsys):
+    # 10**13 hidden units of a dim-4 model need 437 TiB, above the 128 TiB
+    # user address space, so the allocation fails at once without touching
+    # memory.
+    data = _synth(tmp_path)
+    model = tmp_path / "model.milm"
+    assert main([
+        "train", "--train", str(data / "train" / "manifest.csv"),
+        "--val", str(data / "val" / "manifest.csv"),
+        "--out", str(model), "--hidden", "10000000000000",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 437. TiB for an array")
+    assert err.count("\n") == 1
+    assert not model.exists()
+
+
 def test_train_duplicate_manifest_bag_id_exit_1(tmp_path, capsys):
     data = _synth(tmp_path)
     manifest = data / "train" / "manifest.csv"
@@ -605,7 +622,7 @@ def test_synth_rerun_byte_identical(tmp_path):
 
 
 def test_outputs_create_missing_parent_dirs(tmp_path, capsys):
-    data = _synth(tmp_path)
+    data = _synth(tmp_path / "d" / "e")
     model = tmp_path / "runs" / "a" / "model.milm"
     assert main([
         "train", "--train", str(data / "train" / "manifest.csv"),
@@ -621,3 +638,15 @@ def test_outputs_create_missing_parent_dirs(tmp_path, capsys):
         "--data", str(data / "val" / "manifest.csv"), "--out", str(scores),
     ]) == 0
     assert scores.read_text().startswith("bag_id,score,label")
+
+    curves = tmp_path / "c" / "deeper"
+    assert main(["eval", "--scores", str(scores), "--curves", str(curves)]) == 0
+    assert sorted(os.listdir(curves)) == ["pr.csv", "roc.csv"]
+
+    cov = tmp_path / "cov.csv"
+    ids = [row[0] for row in load_manifest(data / "val" / "manifest.csv")]
+    cov.write_text("bag_id,x\n" + "".join(f"{b},{i}\n" for i, b in enumerate(ids)))
+    corr = tmp_path / "corr" / "out.csv"
+    assert main(["correlate", "--scores", str(scores), "--covariates", str(cov),
+                 "--out", str(corr)]) == 0
+    assert corr.read_text().startswith("name,rho,p_value,n\nx,")

@@ -389,3 +389,28 @@ def test_write_bytes_atomic_failure_keeps_previous_file(tmp_path, monkeypatch, f
         _WRITERS[writer](path)
     assert path.read_bytes() == b"previous contents"
     assert os.listdir(tmp_path) == ["model.milm"]
+
+
+def test_write_bytes_atomic_creates_missing_parent_dirs(tmp_path):
+    path = tmp_path / "a" / "b" / "f.bin"
+    write_bytes_atomic(path, b"payload")
+    assert path.read_bytes() == b"payload"
+    assert os.listdir(tmp_path / "a" / "b") == ["f.bin"]
+
+
+@pytest.mark.parametrize(
+    "parts, error",
+    [(("plain", "f.bin"), FileExistsError), (("plain", "sub", "f.bin"), NotADirectoryError)],
+    ids=["parent", "grandparent"],
+)
+def test_write_bytes_atomic_under_a_regular_file_raises_and_leaves_no_tmp(
+    tmp_path, parts, error
+):
+    """The error names the directory that cannot be made, as ``mkdir``
+    reports it, not the temporary file."""
+    (tmp_path / "plain").write_bytes(b"not a directory")
+    with pytest.raises(error) as info:
+        write_bytes_atomic(tmp_path.joinpath(*parts), b"payload")
+    assert info.value.filename == str(tmp_path.joinpath(*parts).parent)
+    assert os.listdir(tmp_path) == ["plain"]
+    assert (tmp_path / "plain").read_bytes() == b"not a directory"

@@ -4,7 +4,8 @@ the library defines at module or class level is read somewhere in it,
 and every public function, method, property and dataclass field is read
 by the library or by the acceptance tests. The package root only
 re-exports: each library module's ``__all__`` is the one list of its
-public names."""
+public names. Only ``data.py`` creates directories: its atomic writer
+makes the missing parents of every file the library writes."""
 
 import ast
 from pathlib import Path
@@ -202,6 +203,34 @@ def test_library_has_no_member_only_tests_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
     acceptance = (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")
     assert unread_public_members(sources, [acceptance]) == []
+
+
+def mkdir_calls(sources: dict[str, str]) -> list[str]:
+    """``file:line`` of each ``.mkdir(`` call in ``sources`` outside
+    ``data.py``."""
+    return [
+        f"{name}:{node.lineno}"
+        for name, source in sources.items()
+        if name != "data.py"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "mkdir"
+    ]
+
+
+def test_checker_finds_a_mkdir_call_outside_data():
+    sources = {
+        "data.py": "def w(p):\n    p.parent.mkdir(parents=True)\n",
+        "cli.py": "import os\ndef f(p):\n    os.mkdir(p)\n    p.mkdir(exist_ok=True)\n",
+        "synth.py": "mkdir = None\n",
+    }
+    assert mkdir_calls(sources) == ["cli.py:3", "cli.py:4"]
+
+
+def test_only_data_creates_directories():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
+    assert mkdir_calls(sources) == []
 
 
 def test_package_root_star_imports_each_library_module():

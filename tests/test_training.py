@@ -274,6 +274,24 @@ def test_non_finite_loss_exits_1_and_writes_no_checkpoint(tmp_path, capsys):
     assert not model.exists()
 
 
+def test_diverged_forward_exits_1_with_one_error_line_and_no_warning(tmp_path, capsys):
+    # A learning rate of 1e308 overflows the first layer after one step;
+    # forward reports the non-finite pre-activation itself, without numpy's
+    # overflow warnings (errors under this suite's warning filters).
+    tr, va = _datasets()
+    model = tmp_path / "m.milm"
+    code = main([
+        "train", "--train", str(write_bags(tmp_path / "train", tr)),
+        "--val", str(write_bags(tmp_path / "val", va)), "--out", str(model),
+        "--hidden", "8", "--epochs", "1", "--lr", "1e308",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: epoch 0, unit 1: non-finite patch pre-activation; model has diverged\n"
+    )
+    assert not model.exists()
+
+
 def test_validation_floating_point_error_raises_training_diverged(monkeypatch):
     def overflow(params, bags, fraction):
         raise FloatingPointError("overflow encountered in matmul")
